@@ -27,13 +27,13 @@ def test_table3_optimization_speedups(benchmark, runner, real_suite, synthetic_s
 
     def run():
         baseline_records = runner.run_suite(suite, {"VERIFAS": VerifierOptions()})
-        speedups = {}
+        speedups, records = {}, {}
         for label, ablated_options in ABLATIONS.items():
-            ablated_records = runner.run_suite(suite, {label: ablated_options})
-            speedups[label] = BenchmarkRunner.table3(baseline_records, ablated_records)
-        return speedups
+            records[label] = runner.run_suite(suite, {label: ablated_options})
+            speedups[label] = BenchmarkRunner.table3(baseline_records, records[label])
+        return speedups, baseline_records, records
 
-    speedups = benchmark.pedantic(run, rounds=1, iterations=1)
+    speedups, baseline_records, records = benchmark.pedantic(run, rounds=1, iterations=1)
 
     rows = [
         (label, f"{data['mean']:.2f}x", f"{data['trimmed_mean']:.2f}x", int(data["runs"]))
@@ -51,3 +51,21 @@ def test_table3_optimization_speedups(benchmark, runner, real_suite, synthetic_s
     for label, data in speedups.items():
         assert data["runs"] > 0
         assert data["trimmed_mean"] > 0.3, f"{label} unexpectedly harmful"
+
+    # DSS only speeds up candidate look-ups: it must explore exactly the
+    # states the scan explores.  Runs that failed (timeout or budget) are
+    # left out, since a timed-out run stops at a wall-clock-dependent count.
+    baseline_states = {
+        (r.workflow, r.template): r.states_explored for r in baseline_records if not r.failed
+    }
+    compared = 0
+    for record in records["DSS (data structures)"]:
+        key = (record.workflow, record.template)
+        if record.failed or key not in baseline_states:
+            continue
+        assert record.states_explored == baseline_states[key], (
+            f"DSS changes the explored states on {key}:"
+            f" {baseline_states[key]} (on) vs {record.states_explored} (off)"
+        )
+        compared += 1
+    assert compared > 0, "no completed run to compare -- the DSS gate is hollow"

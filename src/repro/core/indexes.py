@@ -1,203 +1,78 @@
-"""Index structures for fast subset / superset candidate queries (Section 3.6).
+"""Candidate look-ups over the active set of the search (Section 3.6).
 
-Every time the search visits a new product state it must answer two queries
-against the set of *active* states:
+Every time the search visits a new product state it asks two questions of
+the set of *active* states:
 
-1. which active states are covered by the new one (candidates for pruning), and
-2. is the new state covered by some active state (can it be discarded)?
+1. which active states does the new one cover (candidates for deactivation)?
+2. is the new state covered by some active state (can it be pruned)?
 
-Both reduce, as a necessary condition, to subset / superset tests between the
-states' edge sets ``E(I)`` (the edges of the isomorphism type plus the edges of
-every stored-tuple type with a positive counter, plus the Büchi state and the
-child stages encoded as mandatory pseudo-edges).  The paper uses a Trie for
-superset queries and inverted lists for subset queries; both are implemented
-here over integer-encoded edge sets.  The precise ⪯ test is then run only on
-the returned candidates.
+Every coverage relation the search uses (``≤``, ``⪯`` and ``⪯+`` in
+:mod:`repro.core.coverage`, lifted to product states by
+``KarpMillerSearch._state_covers``) requires both states to have the same
+Büchi state and the same child stages.  :class:`ActiveStateIndex` therefore
+buckets the active states by that pair; a bucket look-up is an *exact*
+filter: it returns every true cover and only drops states that no relation
+could accept.  The precise coverage test then runs on the bucket alone.
+
+The paper also filters on the states' edge sets, using a Trie for superset
+and inverted lists for subset queries.  That is unsound for our
+representation, because edge sets are not monotone under ``⪯``:
+
+* canonical keys are syntactic, so a fact the covering type only *implies*
+  (``"New" != "Paid"``, say) can appear as an edge on one side only; and
+* the covering state may store *more* tuple types than the covered one.
+
+A subset filter over such sets drops true covers, which changes the pruned
+state space (and on some corpus rows turns VIOLATED into UNKNOWN at the
+state budget).  An edge-set filter would need closure-normalised types and
+no stored-tuple edges; the bucket is what remains exact without them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Generic, Hashable, Iterable, List, Optional, Set, Tuple, TypeVar
+from typing import Dict, Generic, Hashable, Set, Tuple, TypeVar
 
 ItemId = TypeVar("ItemId", bound=Hashable)
 
 
-class EdgeInterner:
-    """Assigns stable small integers to (hashable) edge descriptors."""
-
-    def __init__(self) -> None:
-        self._ids: Dict[Hashable, int] = {}
-
-    def intern(self, edge: Hashable) -> int:
-        if edge not in self._ids:
-            self._ids[edge] = len(self._ids)
-        return self._ids[edge]
-
-    def intern_set(self, edges: Iterable[Hashable]) -> FrozenSet[int]:
-        return frozenset(self.intern(edge) for edge in edges)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-
-class InvertedListIndex(Generic[ItemId]):
-    """Find stored sets that are *subsets* of a query set.
-
-    For every element we keep the list of stored sets containing it; a stored
-    set is a subset of the query iff the number of its elements hit by the
-    query equals its size.  The empty stored set is a subset of everything.
-    """
-
-    def __init__(self) -> None:
-        self._sizes: Dict[ItemId, int] = {}
-        self._postings: Dict[int, Set[ItemId]] = {}
-        self._empty: Set[ItemId] = set()
-
-    def add(self, item: ItemId, elements: FrozenSet[int]) -> None:
-        self._sizes[item] = len(elements)
-        if not elements:
-            self._empty.add(item)
-        for element in elements:
-            self._postings.setdefault(element, set()).add(item)
-
-    def remove(self, item: ItemId, elements: FrozenSet[int]) -> None:
-        self._sizes.pop(item, None)
-        self._empty.discard(item)
-        for element in elements:
-            self._postings.get(element, set()).discard(item)
-
-    def subsets_of(self, query: FrozenSet[int]) -> Set[ItemId]:
-        """All stored items whose element set is a subset of *query*."""
-        hits: Dict[ItemId, int] = {}
-        for element in query:
-            for item in self._postings.get(element, ()):
-                hits[item] = hits.get(item, 0) + 1
-        result = {item for item, count in hits.items() if count == self._sizes.get(item, -1)}
-        result |= self._empty
-        return result
-
-
-class _TrieNode:
-    __slots__ = ("children", "items")
-
-    def __init__(self) -> None:
-        self.children: Dict[int, "_TrieNode"] = {}
-        self.items: Set = set()
-
-
-class TrieIndex(Generic[ItemId]):
-    """Find stored sets that are *supersets* of a query set.
-
-    Sets are stored as sorted sequences of element ids in a trie.  A stored
-    set is a superset of the query iff a root-to-leaf path contains every
-    query element; the search walks the trie, skipping non-query elements and
-    matching query elements in increasing order.
-    """
-
-    def __init__(self) -> None:
-        self._root = _TrieNode()
-        self._elements: Dict[ItemId, Tuple[int, ...]] = {}
-
-    def add(self, item: ItemId, elements: FrozenSet[int]) -> None:
-        ordered = tuple(sorted(elements))
-        self._elements[item] = ordered
-        node = self._root
-        for element in ordered:
-            node = node.children.setdefault(element, _TrieNode())
-        node.items.add(item)
-
-    def remove(self, item: ItemId, elements: FrozenSet[int]) -> None:
-        ordered = self._elements.pop(item, None)
-        if ordered is None:
-            return
-        node = self._root
-        path: List[Tuple[_TrieNode, int]] = []
-        for element in ordered:
-            child = node.children.get(element)
-            if child is None:
-                return
-            path.append((node, element))
-            node = child
-        node.items.discard(item)
-        # Prune empty branches.
-        for parent, element in reversed(path):
-            child = parent.children[element]
-            if not child.items and not child.children:
-                del parent.children[element]
-            else:
-                break
-
-    def supersets_of(self, query: FrozenSet[int]) -> Set[ItemId]:
-        """All stored items whose element set is a superset of *query*."""
-        ordered_query = tuple(sorted(query))
-        result: Set[ItemId] = set()
-
-        def search(node: _TrieNode, query_position: int) -> None:
-            if query_position == len(ordered_query):
-                self._collect(node, result)
-                return
-            needed = ordered_query[query_position]
-            for element, child in node.children.items():
-                if element == needed:
-                    search(child, query_position + 1)
-                elif element < needed:
-                    # Skip elements smaller than the next needed one; larger
-                    # elements can never lead to a match because sets are sorted.
-                    search(child, query_position)
-            return
-
-        search(self._root, 0)
-        return result
-
-    def _collect(self, node: _TrieNode, result: Set[ItemId]) -> None:
-        result.update(node.items)
-        for child in node.children.values():
-            self._collect(child, result)
-
-
-@dataclass
 class ActiveStateIndex(Generic[ItemId]):
-    """Combined index over the active states of the search (Section 3.6).
+    """The active states of the search, bucketed by an exact key.
 
-    ``candidates_covering(query)`` returns items whose edge set is a subset of
-    the query's (necessary for ``query ⪯ item``); ``candidates_covered(query)``
-    returns items whose edge set is a superset (necessary for ``item ⪯ query``).
+    The key is whatever every coverage relation requires to be equal; the
+    search uses ``(buchi_state, psi.children)``.
     """
 
-    interner: EdgeInterner = field(default_factory=EdgeInterner)
-    subset_index: InvertedListIndex = field(default_factory=InvertedListIndex)
-    superset_index: TrieIndex = field(default_factory=TrieIndex)
-    _edge_sets: Dict[Hashable, FrozenSet[int]] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self._buckets: Dict[Hashable, Set[ItemId]] = {}
+        self._keys: Dict[ItemId, Hashable] = {}
 
-    def add(self, item: ItemId, edges: Iterable[Hashable]) -> None:
-        encoded = self.interner.intern_set(edges)
-        self._edge_sets[item] = encoded
-        self.subset_index.add(item, encoded)
-        self.superset_index.add(item, encoded)
+    def add(self, item: ItemId, key: Hashable) -> None:
+        self._keys[item] = key
+        self._buckets.setdefault(key, set()).add(item)
 
     def remove(self, item: ItemId) -> None:
-        encoded = self._edge_sets.pop(item, None)
-        if encoded is None:
+        key = self._keys.pop(item, None)
+        if key is None:
             return
-        self.subset_index.remove(item, encoded)
-        self.superset_index.remove(item, encoded)
+        bucket = self._buckets[key]
+        bucket.discard(item)
+        if not bucket:
+            del self._buckets[key]
 
     def __contains__(self, item: object) -> bool:
-        return item in self._edge_sets
+        return item in self._keys
 
     def __len__(self) -> int:
-        return len(self._edge_sets)
+        return len(self._keys)
 
     def items(self) -> Tuple[ItemId, ...]:
-        return tuple(self._edge_sets)
+        return tuple(self._keys)
 
-    def candidates_covering(self, edges: Iterable[Hashable]) -> Set[ItemId]:
-        """Items I' with E(I') ⊆ E(query): necessary condition for query ⪯ I'."""
-        encoded = self.interner.intern_set(edges)
-        return self.subset_index.subsets_of(encoded)
+    def candidates_covering(self, key: Hashable) -> Set[ItemId]:
+        """Items that may cover a state with *key*: its bucket."""
+        return set(self._buckets.get(key, ()))
 
-    def candidates_covered_by(self, edges: Iterable[Hashable]) -> Set[ItemId]:
-        """Items I' with E(I') ⊇ E(query): necessary condition for I' ⪯ query."""
-        encoded = self.interner.intern_set(edges)
-        return self.superset_index.supersets_of(encoded)
+    def candidates_covered_by(self, key: Hashable) -> Set[ItemId]:
+        """Items a state with *key* may cover: the same bucket, since
+        coverage needs equal keys in both directions."""
+        return set(self._buckets.get(key, ()))

@@ -396,12 +396,6 @@ class PartialIsoType:
         """Whether the constraints can be added without contradiction."""
         return self.extend(constraints) is not None
 
-    # -------------------------------------------------------------- edges (for indexes / pruning)
-
-    def edge_set(self) -> FrozenSet[Tuple[str, str, str]]:
-        """The canonical edge set (same encoding as :meth:`canonical_key`)."""
-        return self.canonical_key()
-
 
 def empty_type(universe: ExpressionUniverse) -> PartialIsoType:
     """The fully unconstrained partial isomorphism type."""

@@ -13,15 +13,18 @@ the paper's configurations:
 * the ⪯-based pruning of Section 3.5 (the default), which replaces the
   coverage relation ``≤`` by the weaker ``⪯`` tested via bipartite max-flow.
 
-Candidate look-ups over the active set use the Trie / inverted-list indexes of
-Section 3.6 when data-structure support is enabled, otherwise linear scans.
+Candidate look-ups over the active set use the Section 3.6 index when
+data-structure support is enabled: a bucket of the active states keyed by
+:func:`bucket_key`, which every coverage relation requires to be equal, so
+the look-up never drops a true cover (see :mod:`repro.core.indexes`).  With
+it disabled they scan every active state; both give the same search.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.control import STOP_CANCELLED, STOP_DEADLINE, SearchControl
 from repro.core.coverage import covers_leq, covers_preceq
@@ -31,6 +34,12 @@ from repro.core.product import ProductMove, ProductState, ProductSystem
 from repro.core.psi import PSI
 from repro.core.stats import SearchStatistics
 from repro.vass.vass import OMEGA
+
+
+def bucket_key(state: ProductState) -> Hashable:
+    """The control part of *state* that coverage requires to be equal:
+    the Büchi state and the child stages."""
+    return (state.buchi_state, state.psi.children)
 
 
 @dataclass
@@ -106,12 +115,8 @@ class KarpMillerSearch:
         counters = state.psi.counter_map()
         if not counters:
             return state
-        relevant = [
-            node
-            for node in ancestors
-            if node.state.buchi_state == state.buchi_state
-            and node.state.psi.children == state.psi.children
-        ]
+        key = bucket_key(state)
+        relevant = [node for node in ancestors if bucket_key(node.state) == key]
         if not relevant:
             return state
         changed = False
@@ -160,7 +165,7 @@ class KarpMillerSearch:
                 nodes[parent].children.append(node.node_id)
             active.add(node.node_id)
             if index is not None:
-                index.add(node.node_id, state.edge_elements())
+                index.add(node.node_id, bucket_key(state))
             worklist.append(node.node_id)
             self.stats.states_explored += 1
             control.maybe_emit_progress(
@@ -168,16 +173,18 @@ class KarpMillerSearch:
             )
             return node
 
+        # The index holds exactly the active nodes, so its buckets need no
+        # intersection with ``active``.
         def active_candidates_covering(state: ProductState) -> Iterable[int]:
             """Active nodes that might cover *state* (state ⪯ candidate)."""
             if index is not None:
-                return index.candidates_covering(state.edge_elements()) & active
+                return index.candidates_covering(bucket_key(state))
             return set(active)
 
         def active_candidates_covered(state: ProductState) -> Iterable[int]:
-            """Nodes that might be covered by *state* (candidate ⪯ state)."""
+            """Active nodes that might be covered by *state* (candidate ⪯ state)."""
             if index is not None:
-                return index.candidates_covered_by(state.edge_elements()) & active
+                return index.candidates_covered_by(bucket_key(state))
             return set(active)
 
         def deactivate_subtree(node_id: int) -> None:
@@ -285,7 +292,7 @@ class KarpMillerSearch:
                         new_node.active = True
                         active.add(new_node.node_id)
                         if index is not None:
-                            index.add(new_node.node_id, successor.edge_elements())
+                            index.add(new_node.node_id, bucket_key(successor))
 
         self.stats.search_seconds = time.monotonic() - start_time
         self.stats.coverability_set_size = len(active)

@@ -6,8 +6,11 @@ the benchmark harness can toggle each one independently:
 * ``state_pruning``          -- the novel ⪯-based pruning of Section 3.5 (SP);
   when disabled the search falls back to the classic ``≤`` coverage of the
   monotone-pruning Karp–Miller algorithm (Section 3.4).
-* ``data_structure_support`` -- the Trie / inverted-list candidate indexes of
-  Section 3.6 (DSS); when disabled candidate sets are computed by linear scan.
+* ``data_structure_support`` -- the candidate index of Section 3.6 (DSS):
+  active states bucketed by Büchi state and child stages, which every
+  coverage relation requires to be equal; when disabled the candidates are
+  every active state.  Both explore the same states, DSS only tests fewer
+  candidates (see :mod:`repro.core.indexes`).
 * ``static_analysis``        -- the constraint-graph analysis of Section 3.7 (SA).
 * ``monotone_pruning``       -- the Reynier–Servais active-set pruning of
   Section 3.4; disabling it yields the plain Karp–Miller tree (Algorithm 1),

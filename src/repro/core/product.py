@@ -14,7 +14,7 @@ accepting product states (Problem 21 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.isotypes import Constraint, PartialIsoType
 from repro.core.psi import PSI
@@ -30,24 +30,6 @@ class ProductState:
 
     psi: PSI
     buchi_state: int
-
-    def edge_elements(self) -> FrozenSet[Hashable]:
-        """The edge-set encoding used by the index structures (Section 3.6).
-
-        Besides the edges of the isomorphism type and of every stored-tuple
-        type, the Büchi state and the child stages are included as mandatory
-        pseudo-edges so that only states with identical control components are
-        returned as coverage candidates.
-        """
-        elements: Set[Hashable] = set(self.psi.tau.edge_set())
-        for (relation, stored_type), _count in self.psi.counters:
-            for edge in stored_type.edge_set():
-                elements.add((relation, edge))
-            elements.add(("has-counter", relation, stored_type.canonical_key()))
-        elements.add(("buchi", self.buchi_state))
-        for child, active in self.psi.children:
-            elements.add(("child", child, active))
-        return frozenset(elements)
 
 
 @dataclass(frozen=True)

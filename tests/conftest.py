@@ -73,23 +73,31 @@ def tiny_system(items_schema: DatabaseSchema):
     return builder.build()
 
 
-def build_exploding_system(variables: int = 12, constants: int = 6):
-    """A single-task system whose symbolic state space takes many seconds to
+def build_exploding_system(variables: int = 8, constants: int = 3):
+    """A single-task system whose symbolic state space takes many minutes to
     exhaust (used by cancellation / deadline tests: big enough that a search
     is reliably still running when a cancel or deadline lands, yet each loop
-    iteration — the cancellation granularity — stays in the milliseconds)."""
+    iteration — the cancellation granularity — stays well under a second).
+
+    Every ``set_i_cj`` propagates the other variables, so a state records
+    the value of all of them: ``(constants + 1) ** variables`` states that
+    no pruning can merge (none covers another)."""
     schema = DatabaseSchema.from_dict({"ITEMS": {"price": None}})
     builder = ArtifactSystemBuilder("exploding", schema)
     task = builder.task("Main")
     task.id_variable("item", "ITEMS")
-    for index in range(variables):
-        task.variable(f"v{index}")
+    names = [f"v{index}" for index in range(variables)]
+    for name in names:
+        task.variable(name)
+    for index, name in enumerate(names):
+        others = [other for other in names if other != name]
         for j in range(constants):
             constant = f"c{j}"
             task.internal_service(
                 f"set_{index}_{constant}",
-                pre=Neq(Var(f"v{index}"), Const(constant)),
-                post=Eq(Var(f"v{index}"), Const(constant)),
+                pre=Neq(Var(name), Const(constant)),
+                post=Eq(Var(name), Const(constant)),
+                propagated=others,
             )
     return builder.build()
 
@@ -102,8 +110,8 @@ def exploding_system():
 @pytest.fixture
 def small_exploding_system():
     """A smaller exploding variant whose search *exhausts* in a few seconds
-    (CPU-bound throughout): sized for timed speedup comparisons."""
-    return build_exploding_system(variables=8, constants=5)
+    (CPU-bound throughout, 256 states): sized for timed speedup comparisons."""
+    return build_exploding_system(variables=4, constants=3)
 
 
 @pytest.fixture

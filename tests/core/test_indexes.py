@@ -1,144 +1,133 @@
-"""Unit and property-based tests for the Trie / inverted-list candidate indexes."""
+"""Unit and property-based tests for the Section 3.6 candidate index: the
+active states bucketed by (Büchi state, child stages)."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.indexes import ActiveStateIndex, EdgeInterner, InvertedListIndex, TrieIndex
+from repro.core.coverage import covers_preceq
+from repro.core.expressions import ConstExpr, ExpressionUniverse, NavExpr
+from repro.core.indexes import ActiveStateIndex
+from repro.core.isotypes import EQ, empty_type
+from repro.core.karp_miller import bucket_key
+from repro.core.product import ProductState
+from repro.core.psi import PSI
+from repro.has.types import VALUE
 
 
-class TestEdgeInterner:
-    def test_stable_ids(self):
-        interner = EdgeInterner()
-        first = interner.intern(("a", "b", "="))
-        second = interner.intern(("a", "b", "="))
-        assert first == second
-        assert len(interner) == 1
-
-    def test_intern_set(self):
-        interner = EdgeInterner()
-        encoded = interner.intern_set([("a",), ("b",), ("a",)])
-        assert len(encoded) == 2
+@pytest.fixture
+def universe(items_schema):
+    return ExpressionUniverse(items_schema, {"x": VALUE, "y": VALUE})
 
 
-class TestInvertedListIndex:
-    def test_subsets_of(self):
-        index = InvertedListIndex()
-        index.add("small", frozenset({1}))
-        index.add("medium", frozenset({1, 2}))
-        index.add("large", frozenset({1, 2, 3}))
-        assert index.subsets_of(frozenset({1, 2})) == {"small", "medium"}
-
-    def test_empty_set_is_subset_of_everything(self):
-        index = InvertedListIndex()
-        index.add("empty", frozenset())
-        assert index.subsets_of(frozenset({5})) == {"empty"}
-        assert index.subsets_of(frozenset()) == {"empty"}
-
-    def test_remove(self):
-        index = InvertedListIndex()
-        index.add("a", frozenset({1, 2}))
-        index.remove("a", frozenset({1, 2}))
-        assert index.subsets_of(frozenset({1, 2, 3})) == set()
-
-
-class TestTrieIndex:
-    def test_supersets_of(self):
-        index = TrieIndex()
-        index.add("small", frozenset({1}))
-        index.add("medium", frozenset({1, 2}))
-        index.add("large", frozenset({1, 2, 3}))
-        assert index.supersets_of(frozenset({1, 2})) == {"medium", "large"}
-
-    def test_empty_query_returns_everything(self):
-        index = TrieIndex()
-        index.add("a", frozenset({1}))
-        index.add("b", frozenset())
-        assert index.supersets_of(frozenset()) == {"a", "b"}
-
-    def test_remove_prunes_branches(self):
-        index = TrieIndex()
-        index.add("a", frozenset({1, 2}))
-        index.add("b", frozenset({1, 3}))
-        index.remove("a", frozenset({1, 2}))
-        assert index.supersets_of(frozenset({1})) == {"b"}
-        index.remove("missing", frozenset({9}))  # removing unknown items is a no-op
-
-    def test_duplicate_edge_sets(self):
-        index = TrieIndex()
-        index.add("a", frozenset({1, 2}))
-        index.add("b", frozenset({1, 2}))
-        assert index.supersets_of(frozenset({1, 2})) == {"a", "b"}
+def _state(universe, buchi_state=0, children=None, counters=None, *constraints):
+    tau = empty_type(universe).extend(list(constraints))
+    assert tau is not None
+    return ProductState(PSI.make(tau, counters or {}, children or {}), buchi_state)
 
 
 class TestActiveStateIndex:
-    def test_candidates(self):
+    def test_candidates(self, universe):
+        """States with the same key share a bucket, whatever their types."""
         index = ActiveStateIndex()
-        index.add("loose", ["e1"])
-        index.add("tight", ["e1", "e2", "e3"])
-        # Items whose edges are a subset of the query: candidates that may cover the query.
-        assert index.candidates_covering(["e1", "e2"]) == {"loose"}
-        # Items whose edges are a superset of the query: candidates the query may cover.
-        assert index.candidates_covered_by(["e1", "e2"]) == {"tight"}
+        loose = _state(universe, 0, {"Child": True})
+        tight = _state(universe, 0, {"Child": True}, None, (NavExpr("x"), ConstExpr("a"), EQ))
+        index.add("loose", bucket_key(loose))
+        index.add("tight", bucket_key(tight))
+        assert index.candidates_covering(bucket_key(tight)) == {"loose", "tight"}
+        assert index.candidates_covered_by(bucket_key(loose)) == {"loose", "tight"}
 
-    def test_remove_and_contains(self):
+    def test_different_buchi_state_is_another_bucket(self, universe):
         index = ActiveStateIndex()
-        index.add(1, ["a"])
+        index.add("q0", bucket_key(_state(universe, 0)))
+        index.add("q1", bucket_key(_state(universe, 1)))
+        assert index.candidates_covering(bucket_key(_state(universe, 1))) == {"q1"}
+        assert index.candidates_covered_by(bucket_key(_state(universe, 2))) == set()
+
+    def test_different_child_stages_are_another_bucket(self, universe):
+        index = ActiveStateIndex()
+        index.add("open", bucket_key(_state(universe, 0, {"Child": True})))
+        index.add("closed", bucket_key(_state(universe, 0, {"Child": False})))
+        index.add("none", bucket_key(_state(universe, 0)))
+        query = bucket_key(_state(universe, 0, {"Child": False}))
+        assert index.candidates_covering(query) == {"closed"}
+        assert index.candidates_covered_by(query) == {"closed"}
+
+    def test_remove_and_contains(self, universe):
+        index = ActiveStateIndex()
+        key = bucket_key(_state(universe))
+        index.add(1, key)
+        index.add(2, key)
         assert 1 in index
         index.remove(1)
         assert 1 not in index
-        assert index.candidates_covering(["a"]) == set()
+        assert index.candidates_covering(key) == {2}
+        index.remove(2)
+        assert index.candidates_covered_by(key) == set()
         index.remove(1)  # idempotent
+
+    def test_results_are_copies(self, universe):
+        """Deactivating candidates while iterating a result is safe."""
+        index = ActiveStateIndex()
+        key = bucket_key(_state(universe))
+        index.add(1, key)
+        index.add(2, key)
+        for item in index.candidates_covered_by(key):
+            index.remove(item)
+        assert len(index) == 0
 
     def test_items_and_len(self):
         index = ActiveStateIndex()
-        index.add("x", ["a"])
-        index.add("y", ["b"])
+        index.add("x", (0, ()))
+        index.add("y", (1, ()))
         assert set(index.items()) == {"x", "y"}
         assert len(index) == 2
+
+    def test_cover_with_more_stored_tuples_is_a_candidate(self, universe):
+        """A covering state may store more tuple types than the covered one,
+        so its edge set is no subset of the covered state's; the bucket
+        still returns it."""
+        stored = empty_type(universe).extend([(NavExpr("x"), ConstExpr("a"), EQ)])
+        covered = _state(universe, 0, {"Child": True})
+        covering = _state(universe, 0, {"Child": True}, {("S", stored): 1})
+        assert covers_preceq(covered.psi, covering.psi)
+        index = ActiveStateIndex()
+        index.add("covering", bucket_key(covering))
+        assert index.candidates_covering(bucket_key(covered)) == {"covering"}
 
 
 @st.composite
 def _collections(draw):
-    n_items = draw(st.integers(1, 12))
-    items = []
-    for i in range(n_items):
-        items.append((i, frozenset(draw(st.sets(st.integers(0, 8), max_size=6)))))
-    query = frozenset(draw(st.sets(st.integers(0, 8), max_size=6)))
-    return items, query
+    keys = st.tuples(st.integers(0, 2), st.sampled_from([(), (("C", False),), (("C", True),)]))
+    items = [(i, draw(keys)) for i in range(draw(st.integers(1, 12)))]
+    return items, draw(keys)
 
 
 class TestDifferentialAgainstBruteForce:
     @given(_collections())
     @settings(max_examples=120, deadline=None)
-    def test_subset_and_superset_queries_match_brute_force(self, data):
+    def test_queries_match_brute_force(self, data):
         items, query = data
-        inverted = InvertedListIndex()
-        trie = TrieIndex()
-        for item, elements in items:
-            inverted.add(item, elements)
-            trie.add(item, elements)
-        expected_subsets = {item for item, elements in items if elements <= query}
-        expected_supersets = {item for item, elements in items if elements >= query}
-        assert inverted.subsets_of(query) == expected_subsets
-        assert trie.supersets_of(query) == expected_supersets
+        index = ActiveStateIndex()
+        for item, key in items:
+            index.add(item, key)
+        expected = {item for item, key in items if key == query}
+        assert index.candidates_covering(query) == expected
+        assert index.candidates_covered_by(query) == expected
 
     @given(_collections())
     @settings(max_examples=60, deadline=None)
     def test_queries_after_random_removals(self, data):
         items, query = data
         rng = random.Random(0)
-        inverted = InvertedListIndex()
-        trie = TrieIndex()
-        for item, elements in items:
-            inverted.add(item, elements)
-            trie.add(item, elements)
+        index = ActiveStateIndex()
+        for item, key in items:
+            index.add(item, key)
         removed = {item for item, _ in items if rng.random() < 0.5}
-        for item, elements in items:
-            if item in removed:
-                inverted.remove(item, elements)
-                trie.remove(item, elements)
-        remaining = [(item, elements) for item, elements in items if item not in removed]
-        assert inverted.subsets_of(query) == {i for i, e in remaining if e <= query}
-        assert trie.supersets_of(query) == {i for i, e in remaining if e >= query}
+        for item in removed:
+            index.remove(item)
+        remaining = {item for item, key in items if item not in removed and key == query}
+        assert index.candidates_covering(query) == remaining
+        assert index.candidates_covered_by(query) == remaining
+        assert len(index) == len(items) - len(removed)
