@@ -11,9 +11,10 @@ Measures, on the current machine:
   over the real-workflow benchmark corpus (p50/p95 per spec) and over
   synthetic systems of growing size: the cost a ``lint`` run or a submit
   pays per spec;
-* ``pruning_speedup``  -- verification wall time with the pre-search
-  pruning pass on vs off, on a system carrying statically-dead subtrees,
-  and the trivial-property short-circuit vs the full search it replaces;
+* ``pruning_speedup``  -- verification wall time with the analysis-driven
+  pruning pass (``dataflow_pruning``) on vs off, on a system carrying
+  statically-dead subtrees, and the trivial-property short-circuit vs the
+  full search it replaces;
 * ``submit_overhead``  -- p50/p95 ``POST /v1/jobs`` latency against a live
   in-process server (the analysis gate is on that path) next to the
   analysis-only time for the same payload: how much of a submit the
@@ -142,7 +143,7 @@ def bench_pruning_speedup():
     def _verify_seconds(system, ltl_property, pruning: bool, repeats: int = 5):
         samples = []
         for _ in range(repeats):
-            verifier = Verifier(system, VerifierOptions(static_pruning=pruning))
+            verifier = Verifier(system, VerifierOptions(dataflow_pruning=pruning))
             start = time.perf_counter()
             result = verifier.verify(ltl_property)
             samples.append(time.perf_counter() - start)

@@ -1,5 +1,5 @@
 """Core-search benchmark: state counts, successor-loop timing, and the
-in-search dataflow-pruning speedup.
+analysis-driven pruning speedup.
 
 Not a pytest file (no ``test_`` prefix): run it directly to (re)generate
 ``BENCH_search.json`` at the repo root::
@@ -9,16 +9,16 @@ Not a pytest file (no ``test_`` prefix): run it directly to (re)generate
 Measures, on the current machine:
 
 * ``corpus_search``    -- per real-workflow spec: explored states, successor
-  computations, and the main-search wall time with both pruning layers on
-  vs both off, with a verdict AND state-count parity assert per property
-  (the sweep fails loudly if either pass ever changes the explored space);
+  computations, and the main-search wall time with ``dataflow_pruning`` on
+  vs off, with a verdict AND search-counter parity assert per property
+  (the sweep fails loudly if the pass ever changes the explored space);
 * ``pinned_dead_family`` -- a generated family whose global precondition
   pins ``mode="basic"`` while N services and children require
-  ``mode="premium"``.  Each gate is satisfiable in isolation, so the PR-9
-  static pass keeps them all; only constant propagation proves them dead.
-  The sweep shows the per-state successor-loop cost of the dead gates --
-  and hence the dataflow speedup -- growing with N.  The run asserts a
-  >= 1.1x successor-loop speedup at the widest point.
+  ``mode="premium"``.  Each gate is satisfiable in isolation; only constant
+  propagation proves them dead.  The sweep shows the per-state
+  successor-loop cost of the dead gates -- and hence the pruning speedup --
+  growing with N.  The run asserts a >= 1.1x successor-loop speedup over
+  the unpruned search at the widest point.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import statistics
 import sys
 import time
 from datetime import datetime, timezone
-from itertools import product
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -45,11 +44,17 @@ from repro.ltl import LTLFOProperty, parse_ltl  # noqa: E402
 
 BUDGET = dict(max_states=800, max_repeated_states=800, timeout_seconds=20)
 
+#: The search counters the pruning pass must leave unchanged.
+PARITY_COUNTERS = (
+    "states_explored",
+    "states_pruned",
+    "states_deactivated",
+    "transitions_computed",
+)
 
-def _options(static: bool, dataflow: bool):
-    return VerifierOptions(
-        static_pruning=static, dataflow_pruning=dataflow, **BUDGET
-    )
+
+def _options(pruning: bool):
+    return VerifierOptions(dataflow_pruning=pruning, **BUDGET)
 
 
 def _verify(system, ltl_property, options, repeats: int = 3, warmup: bool = False):
@@ -70,8 +75,8 @@ def _verify(system, ltl_property, options, repeats: int = 3, warmup: bool = Fals
 
 
 def bench_corpus_search():
-    """Both-on vs both-off over the real-workflow corpus, with a full
-    2x2 verdict/state-count parity assert per property."""
+    """Pruning on vs off over the real-workflow corpus, with a verdict and
+    search-counter parity assert per property."""
     per_spec = {}
     compared = 0
     for name, factory in sorted(REAL_WORKFLOW_FACTORIES.items()):
@@ -79,34 +84,27 @@ def bench_corpus_search():
         properties = list(generate_properties(system, templates=LTL_TEMPLATES))
         on_search, off_search, states, transitions = [], [], [], []
         for ltl_property in properties:
-            results, timings = {}, {}
-            for static, dataflow in product((True, False), repeat=2):
-                search_s, _, result = _verify(
-                    system, ltl_property, _options(static, dataflow), repeats=1
-                )
-                results[(static, dataflow)] = result
-                timings[(static, dataflow)] = search_s
-            baseline = results[(False, False)]
-            for combo, result in sorted(results.items()):
-                assert result.outcome == baseline.outcome, (
-                    f"{name}/{ltl_property.name} {combo}:"
-                    f" {result.outcome} != {baseline.outcome}"
-                )
-                assert (
-                    result.stats.states_explored == baseline.stats.states_explored
-                ), f"{name}/{ltl_property.name} {combo}"
+            on_s, _, on_result = _verify(system, ltl_property, _options(True), repeats=1)
+            off_s, _, off_result = _verify(system, ltl_property, _options(False), repeats=1)
+            assert on_result.outcome == off_result.outcome, (
+                f"{name}/{ltl_property.name}:"
+                f" on={on_result.outcome} off={off_result.outcome}"
+            )
+            for counter in PARITY_COUNTERS:
+                assert getattr(on_result.stats, counter) == getattr(
+                    off_result.stats, counter
+                ), f"{name}/{ltl_property.name} {counter}"
             compared += 1
-            on_search.append(timings[(True, True)])
-            off_search.append(timings[(False, False)])
-            on_result = results[(True, True)]
+            on_search.append(on_s)
+            off_search.append(off_s)
             states.append(on_result.stats.states_explored)
             transitions.append(on_result.stats.transitions_computed)
         per_spec[name] = {
             "properties": len(properties),
             "states_explored": states,
             "transitions_computed": transitions,
-            "search_ms_both_on": round(sum(on_search) * 1000, 3),
-            "search_ms_both_off": round(sum(off_search) * 1000, 3),
+            "search_ms_on": round(sum(on_search) * 1000, 3),
+            "search_ms_off": round(sum(off_search) * 1000, 3),
         }
     return {"parity_checks": compared, "per_spec": per_spec}
 
@@ -170,14 +168,9 @@ def bench_pinned_dead_family():
             name="full-sweep",
         )
         rows = {}
-        for label, static, dataflow in (
-            ("both_on", True, True),
-            ("static_only", True, False),
-            ("both_off", False, False),
-        ):
+        for label, pruning in (("on", True), ("off", False)):
             search_s, total_s, result = _verify(
-                system, ltl_property, _options(static, dataflow), repeats=5,
-                warmup=True,
+                system, ltl_property, _options(pruning), repeats=5, warmup=True
             )
             rows[label] = {
                 "search_ms": round(search_s * 1000, 3),
@@ -185,24 +178,18 @@ def bench_pinned_dead_family():
                 "states": result.stats.states_explored,
                 "outcome": result.outcome.value,
             }
-        for label in ("static_only", "both_off"):
-            assert rows[label]["outcome"] == rows["both_on"]["outcome"]
-            assert rows[label]["states"] == rows["both_on"]["states"]
-        on_ms = rows["both_on"]["search_ms"]
+        assert rows["off"]["outcome"] == rows["on"]["outcome"]
+        assert rows["off"]["states"] == rows["on"]["states"]
+        on_ms = rows["on"]["search_ms"]
         report[str(width)] = {
             **rows,
-            "speedup_vs_both_off": round(rows["both_off"]["search_ms"] / on_ms, 2)
-            if on_ms
-            else None,
-            "speedup_vs_static_only": round(
-                rows["static_only"]["search_ms"] / on_ms, 2
-            )
+            "speedup_vs_off": round(rows["off"]["search_ms"] / on_ms, 2)
             if on_ms
             else None,
         }
-        widest_speedup = report[str(width)]["speedup_vs_static_only"]
+        widest_speedup = report[str(width)]["speedup_vs_off"]
     assert widest_speedup is not None and widest_speedup >= 1.1, (
-        f"dataflow successor-loop speedup regressed: {widest_speedup}x < 1.1x"
+        f"pruning successor-loop speedup regressed: {widest_speedup}x < 1.1x"
     )
     return report
 

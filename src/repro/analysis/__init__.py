@@ -10,14 +10,16 @@ pre-search counterpart of the Section 3.7 constraint-graph analysis in
   ``POST /v1/jobs`` submit time (HTTP 422) when error-ranked, and persisted
   on the job row when warning-ranked -- and
 * a :class:`StaticFacts` summary (statically reachable tasks, constant
-  bindings, trivially-decided property verdicts) that the verifier consumes
-  as a pre-search pruning pass under the ``VerifierOptions.static_pruning``
-  kill-switch.
+  bindings, trivially-decided property verdicts) and the per-task
+  :class:`DataflowFacts` (constant environments, dead services and child
+  openings) that the verifier consumes as one pruning pass under the
+  ``VerifierOptions.dataflow_pruning`` kill-switch.
 
-Every pruning fact is *sound*: a task is only reported statically closed
-when its opening guard is unsatisfiable under plain equality reasoning
-(see :func:`statically_unsatisfiable`), so skipping it cannot change any
-verdict -- audited by a differential test against the unpruned search.
+Every pruning fact is *sound*: a service or child opening is only reported
+dead when its guard is unsatisfiable under plain equality reasoning plus
+the task's constant environment (see :func:`statically_unsatisfiable_under`),
+so skipping it cannot change any verdict or explored state -- audited by a
+differential test against the unpruned search.
 """
 
 from repro.analysis.diagnostics import (

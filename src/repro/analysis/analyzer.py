@@ -6,16 +6,17 @@ Two entry points:
   submit path).  Returns an :class:`AnalysisReport`: severity-ranked
   :class:`Diagnostic` records plus the :class:`StaticFacts` summary.
 * :func:`compute_static_facts` -- the facts alone, skipping the (slightly
-  more expensive) hygiene checks.  Used by the verifier's pre-search
-  pruning pass on every ``verify()`` call, so it stays cheap: a handful of
-  DNF conversions over the spec's guards.
+  more expensive) hygiene checks.  The verifier calls it on every
+  ``verify()`` under ``dataflow_pruning`` for the trivial-property
+  short-circuit, so it stays cheap: a handful of DNF conversions over the
+  spec's guards.
 
-Soundness contract of the facts (what makes pruning verdict-preserving):
+Soundness contract of the facts:
 
 * a task appears in ``unsat_opening_tasks`` only when its opening guard is
   :func:`~repro.analysis.satisfiability.statically_unsatisfiable` -- the
-  symbolic evaluator produces no moves for such a guard, so skipping the
-  child entirely leaves the explored state space unchanged;
+  symbolic evaluator produces no moves for such a guard (VA203/VA301 report
+  it; the search skips it as one of the dataflow dead child openings);
 * a property gets a ``"satisfied"`` verdict only when every run trivially
   satisfies it: its formula is structurally ``true``, or it targets the
   root task and the global pre-condition is statically unsatisfiable

@@ -4,10 +4,11 @@
 unsatisfiability: it returns ``True`` only when the condition is genuinely
 unsatisfiable under the equality theory the symbolic search itself
 implements (distinct constants are distinct; equality is a congruence).
-That soundness is what makes the verifier's ``static_pruning`` pass
+That soundness is what makes the verifier's ``dataflow_pruning`` pass
 verdict-preserving: a child task whose opening guard is statically
-unsatisfiable produces no symbolic moves anyway, so skipping it cannot
-change the explored state space.
+unsatisfiable (under the task's constant environment, see
+:func:`statically_unsatisfiable_under`) produces no symbolic moves anyway,
+so skipping it cannot change the explored state space.
 
 The check works per DNF disjunct with a small union-find:
 

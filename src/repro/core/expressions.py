@@ -27,6 +27,15 @@ class ConstExpr:
 
     value: Union[str, int, float, None]
 
+    def __hash__(self) -> int:
+        # Explicit, so the hash is the same in every process: ``hash(None)``
+        # is an address on older Pythons, which would make set and dict
+        # iteration order (and so the search order) vary between runs even
+        # under a fixed ``PYTHONHASHSEED``.
+        if self.value is None:
+            return hash(("const",))
+        return hash(("const", self.value))
+
     @property
     def is_null(self) -> bool:
         return self.value is None

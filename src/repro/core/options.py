@@ -56,25 +56,17 @@ class VerifierOptions:
     #: exists so the audit can force the classic path and so the fast path can
     #: be disabled in the field without a code change.
     repeated_violation_fast_path: bool = True
-    #: The pre-search pruning pass fed by :mod:`repro.analysis` static facts:
-    #: children whose opening guard is statically unsatisfiable are skipped
-    #: during successor generation, and trivially-decided properties
-    #: short-circuit before the Karp-Miller search.  Every consumed fact is a
-    #: sound under-approximation (see ``repro.analysis.satisfiability``), so
-    #: verdicts are identical with the pass on or off -- audited by a
-    #: differential test; the switch lets the audit (and the field, via
-    #: ``REPRO_STATIC_PRUNING=0``) force the unpruned search.
-    static_pruning: bool = True
-    #: The in-search dataflow pruning pass fed by
-    #: :mod:`repro.analysis.dataflow` facts: services dead under constant
-    #: propagation are skipped during successor generation, flattened
-    #: conjunctions contradicting the task's constant environment are dropped
-    #: before symbolic evaluation, and child openings whose guard is dead
-    #: under the environment are skipped.  Every consumed fact only removes
-    #: work that provably yields zero symbolic moves, so verdicts *and*
-    #: explored-state counts are identical with the pass on or off -- audited
-    #: by the 4-way differential sweep; kill-switches are
-    #: ``--no-dataflow-pruning`` and ``REPRO_DATAFLOW_PRUNING=0``.
+    #: The analysis-driven pruning pass fed by :mod:`repro.analysis`:
+    #: services dead under constant propagation are skipped during successor
+    #: generation, flattened conjunctions contradicting the task's constant
+    #: environment are dropped before symbolic evaluation, child openings
+    #: whose guard is dead under the environment are skipped, and
+    #: trivially-satisfied properties short-circuit before the Karp-Miller
+    #: search.  Every consumed fact only removes work that provably yields
+    #: zero symbolic moves, so verdicts *and* explored-state counts are
+    #: identical with the pass on or off -- audited by the two-way
+    #: differential sweep; kill-switches are ``--no-dataflow-pruning`` and
+    #: ``REPRO_DATAFLOW_PRUNING=0``.
     dataflow_pruning: bool = True
 
     #: Hard limit on the number of product states the search may materialise.
@@ -105,8 +97,6 @@ class VerifierOptions:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         if data["repeated_violation_fast_path"] is True:
             del data["repeated_violation_fast_path"]
-        if data["static_pruning"] is True:
-            del data["static_pruning"]
         if data["dataflow_pruning"] is True:
             del data["dataflow_pruning"]
         return data
@@ -114,8 +104,10 @@ class VerifierOptions:
     @classmethod
     def known_keys(cls) -> set:
         """Every accepted option key (including defaults omitted by
-        :meth:`as_dict`); used by the HTTP API's unknown-key validation."""
-        return {f.name for f in fields(cls)}
+        :meth:`as_dict`); used by the HTTP API's unknown-key validation.
+        The retired pre-search pruning key (now part of ``dataflow_pruning``)
+        stays accepted for older clients; :meth:`from_dict` ignores it."""
+        return {f.name for f in fields(cls)} | {"static_pruning"}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "VerifierOptions":

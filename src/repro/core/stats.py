@@ -45,7 +45,8 @@ class SearchStatistics:
     cancelled: bool = False
     #: Internal-service successor evaluations skipped because the dataflow
     #: pass proved the service dead (zero symbolic moves in every reachable
-    #: state); child-opening skips count here too.
+    #: state); child-opening skips count here too, including openings whose
+    #: guard is unsatisfiable on its own.
     dataflow_services_skipped: int = 0
     #: Flattened conjunctions dropped before symbolic evaluation because they
     #: contradict the task's constant environment.

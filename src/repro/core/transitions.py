@@ -38,7 +38,6 @@ from repro.ltl.ltlfo import LTLFOProperty
 from repro.vass.vass import OMEGA
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis is a sibling layer)
-    from repro.analysis.analyzer import StaticFacts
     from repro.analysis.dataflow import DataflowFacts
 
 #: Pseudo-child key marking that the verified task has executed its closing service.
@@ -62,7 +61,6 @@ class SymbolicTransitionSystem:
         task_name: str,
         ltl_property: Optional[LTLFOProperty] = None,
         options: Optional[VerifierOptions] = None,
-        static_facts: Optional["StaticFacts"] = None,
         dataflow_facts: Optional["DataflowFacts"] = None,
     ):
         self.system = system
@@ -70,27 +68,6 @@ class SymbolicTransitionSystem:
         self.task = system.task(task_name)
         self.options = options or VerifierOptions()
         self.ltl_property = ltl_property
-
-        # Pre-search pruning (repro.analysis): children whose opening guard is
-        # statically unsatisfiable produce no symbolic moves anyway, so their
-        # opening loop is skipped entirely.  Sound by construction -- the
-        # unsat check under-approximates exactly the equality reasoning of
-        # the iso-type machinery -- hence verdict-preserving.
-        self._statically_closed_children: FrozenSet[str] = frozenset()
-        if self.options.static_pruning:
-            if static_facts is not None:
-                unsat = set(static_facts.unsat_opening_tasks)
-            else:
-                from repro.analysis.satisfiability import statically_unsatisfiable
-
-                unsat = {
-                    child
-                    for child in system.children_of(task_name)
-                    if statically_unsatisfiable(system.opening_service(child).pre)
-                }
-            self._statically_closed_children = frozenset(
-                child for child in system.children_of(task_name) if child in unsat
-            )
 
         # In-search dataflow pruning (repro.analysis.dataflow): the task's
         # constant environment holds in every reachable iso-type of this
@@ -391,8 +368,6 @@ class SymbolicTransitionSystem:
     def _child_opening_moves(self, psi: PSI) -> List[SymbolicMove]:
         moves: List[SymbolicMove] = []
         for child in self.system.children_of(self.task_name):
-            if child in self._statically_closed_children:
-                continue
             if child in self._dataflow_closed_children:
                 # The opening guard is unsatisfiable under the constant
                 # environment: zero symbolic moves on every reachable type.

@@ -135,23 +135,20 @@ class Verifier:
         if not self.system.has_task(task_name):
             raise ValueError(f"property refers to unknown task {task_name!r}")
 
-        static_facts = None
-        if self.options.static_pruning:
-            from repro.analysis import compute_static_facts
-
-            static_facts = compute_static_facts(self.system, (ltl_property,))
-
         dataflow_facts = None
+        trivially_satisfied = False
         if self.options.dataflow_pruning:
-            from repro.analysis import compute_dataflow_facts
+            from repro.analysis import compute_dataflow_facts, compute_static_facts
 
+            verdicts = compute_static_facts(self.system, (ltl_property,)).property_verdicts
+            trivially_satisfied = verdicts.get(ltl_property.name) == "satisfied"
             with control.span("verify.dataflow", property=ltl_property.name, task=task_name):
                 dataflow_facts = compute_dataflow_facts(self.system)
 
         with control.span("verify.setup", property=ltl_property.name, task=task_name):
             transition_system = SymbolicTransitionSystem(
                 self.system, task_name, ltl_property, self.options,
-                static_facts=static_facts, dataflow_facts=dataflow_facts,
+                dataflow_facts=dataflow_facts,
             )
             ltl_property.validate_against(
                 self.system.task(task_name).variable_names,
@@ -163,10 +160,7 @@ class Verifier:
             # after exploring nothing, so skip the Büchi construction and the
             # search entirely.  Checked only after the same setup validation
             # the unpruned path performs, so error behaviour is identical.
-            if (
-                static_facts is not None
-                and static_facts.property_verdicts.get(ltl_property.name) == "satisfied"
-            ):
+            if trivially_satisfied:
                 return self._trivial_result(ltl_property, task_name, started, control)
 
             # The verifier searches for runs of the *negated* property.

@@ -326,19 +326,12 @@ class VerificationServer:
             events=self.events,
         )
         self.cache = StoreBackedCache(self.store, ResultCache(max_entries=cache_entries))
-        static_env = os.environ.get("REPRO_STATIC_PRUNING", "").strip().lower()
-        if static_env:
-            # Deployment kill-switch for the repro.analysis pre-search
-            # pruning pass: REPRO_STATIC_PRUNING=0 forces the unpruned
-            # search, =1 forces it on, overriding the constructed defaults
-            # (mirrors REPRO_TRACE; per-job `options` still win).
-            default_options = (default_options or VerifierOptions()).with_(
-                static_pruning=static_env not in ("0", "false", "no")
-            )
         dataflow_env = os.environ.get("REPRO_DATAFLOW_PRUNING", "").strip().lower()
         if dataflow_env:
-            # Same kill-switch contract for the in-search dataflow pruning
-            # pass: REPRO_DATAFLOW_PRUNING=0 forces it off, =1 forces it on.
+            # Deployment kill-switch for the analysis-driven pruning pass:
+            # REPRO_DATAFLOW_PRUNING=0 forces the unpruned search, =1 forces
+            # it on, overriding the constructed defaults (mirrors
+            # REPRO_TRACE; per-job `options` still win).
             default_options = (default_options or VerifierOptions()).with_(
                 dataflow_pruning=dataflow_env not in ("0", "false", "no")
             )

@@ -100,10 +100,10 @@ def test_lint_unparseable_spec_exits_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_verify_accepts_no_static_pruning_flag(tmp_path, capsys):
+def test_verify_accepts_no_dataflow_pruning_flag(tmp_path, capsys):
     """The kill-switch flag parses, runs, and changes no verdict."""
     path = _write_spec(tmp_path)
-    code_off = cli.main(["verify", path, "--no-static-pruning", "--json"])
+    code_off = cli.main(["verify", path, "--no-dataflow-pruning", "--json"])
     out_off = json.loads(capsys.readouterr().out)
     code_on = cli.main(["verify", path, "--json"])
     out_on = json.loads(capsys.readouterr().out)

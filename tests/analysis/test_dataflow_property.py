@@ -87,7 +87,7 @@ def _bounded_search(system, task_name: str):
     cut at the state bound, which can only *under*-count firings -- the
     sound direction for auditing an over-approximation.
     """
-    options = VerifierOptions(static_pruning=False, dataflow_pruning=False)
+    options = VerifierOptions(dataflow_pruning=False)
     transitions = SymbolicTransitionSystem(system, task_name, options=options)
     fired: Set[str] = set()
     taus = []
@@ -139,7 +139,7 @@ def test_dataflow_summary_over_approximates_bounded_search(seed):
         transitions = SymbolicTransitionSystem(
             system,
             task_name,
-            options=VerifierOptions(static_pruning=False, dataflow_pruning=False),
+            options=VerifierOptions(dataflow_pruning=False),
         )
         universe = transitions.universe
         for name in sorted(task_facts.constant_env):
@@ -168,7 +168,7 @@ def test_dataflow_pruning_preserves_bounded_search_moves(seed):
     for task_name in system.task_names:
         frontiers = []
         for pruning in (False, True):
-            options = VerifierOptions(static_pruning=False, dataflow_pruning=pruning)
+            options = VerifierOptions(dataflow_pruning=pruning)
             transitions = SymbolicTransitionSystem(system, task_name, options=options)
             moves: List[Tuple[str, object]] = []
             seen: Set[object] = set()

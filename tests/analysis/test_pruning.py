@@ -1,15 +1,18 @@
-"""The pre-search pruning pass: verdict preservation, the kill-switch, and
+"""The analysis-driven pruning pass: on/off parity, the kill-switch, and
 the options-schema compatibility rules.
 
-The fast tests prove parity on targeted systems (dead child subtrees,
-trivially-true properties); the slow differential sweep proves it across
-the whole benchmark corpus -- every verdict must be identical with
-``static_pruning`` on and off.
+``dataflow_pruning`` is the one switch for every analysis-driven shortcut:
+dead services and child openings skipped during successor generation,
+contradicting conjunctions dropped at flatten time, and the trivial-property
+short-circuit.  The fast tests prove parity on targeted systems (dead child
+subtrees, constant-pinned gates, trivially-true properties); the slow
+differential sweep proves it across the whole benchmark corpus -- every
+verdict and search counter must be identical with the pass on and off.
 """
 
 from __future__ import annotations
 
-import itertools
+from dataclasses import fields
 
 import pytest
 
@@ -19,6 +22,14 @@ from repro.has.builder import ArtifactSystemBuilder
 from repro.has.conditions import And, Const, Eq, NULL, Neq, TrueCond, Var
 from repro.has.schema import DatabaseSchema
 from repro.ltl import LTLFOProperty, parse_ltl
+
+#: The search counters the pass must leave unchanged, next to the verdict.
+PARITY_COUNTERS = (
+    "states_explored",
+    "states_pruned",
+    "states_deactivated",
+    "transitions_computed",
+)
 
 
 def _system_with_dead_child():
@@ -51,26 +62,25 @@ def _verify_both_ways(system, ltl_property, **budget):
     """(pruned result, unpruned result) for one property."""
     pruned = Verifier(system, VerifierOptions(**budget)).verify(ltl_property)
     unpruned = Verifier(
-        system, VerifierOptions(static_pruning=False, **budget)
+        system, VerifierOptions(dataflow_pruning=False, **budget)
     ).verify(ltl_property)
     return pruned, unpruned
 
 
-def _verify_four_ways(system, ltl_property, **budget):
-    """One result per (static_pruning, dataflow_pruning) combination."""
-    results = {}
-    for static, dataflow in itertools.product((True, False), repeat=2):
-        options = VerifierOptions(
-            static_pruning=static, dataflow_pruning=dataflow, **budget
+def _assert_parity(pruned, unpruned, label):
+    assert pruned.outcome == unpruned.outcome, (
+        f"{label}: pruned={pruned.outcome} unpruned={unpruned.outcome}"
+    )
+    for counter in PARITY_COUNTERS:
+        assert getattr(pruned.stats, counter) == getattr(unpruned.stats, counter), (
+            f"{label}: {counter}"
         )
-        results[(static, dataflow)] = Verifier(system, options).verify(ltl_property)
-    return results
 
 
 def _pinned_mode_system():
     """A system whose global precondition pins ``mode`` to a value that
-    disables one service and one child: satisfiable in isolation (so the
-    static pass keeps them) but dead under the propagated constant."""
+    disables one service and one child: satisfiable in isolation but dead
+    under the propagated constant."""
     schema = DatabaseSchema.from_dict({"ITEMS": {"price": None}})
     builder = ArtifactSystemBuilder(
         "pinned",
@@ -107,8 +117,46 @@ def _pinned_mode_system():
 
 
 class TestVerdictPreservation:
-    def test_dead_child_subtree_pruning_preserves_verdicts(self):
+    def test_trivially_true_property_short_circuits_to_satisfied(self):
         system = _system_with_dead_child()
+        trivial = LTLFOProperty("Main", parse_ltl("true"), {}, name="triv")
+        pruned, unpruned = _verify_both_ways(system, trivial)
+        assert pruned.satisfied and unpruned.satisfied
+        assert pruned.stats.states_explored == 0
+        _assert_parity(pruned, unpruned, "triv")
+
+    def test_short_circuit_still_validates_the_property(self):
+        """Error behaviour is identical with pruning on or off."""
+        system = _system_with_dead_child()
+        bad = LTLFOProperty(
+            "Main", parse_ltl("true & zap"), {}, name="bad-service-ref"
+        )
+        for options in (VerifierOptions(), VerifierOptions(dataflow_pruning=False)):
+            with pytest.raises(ValueError, match="zap"):
+                Verifier(system, options).verify(bad)
+
+
+class TestOnOffParity:
+    """dataflow_pruning on and off must agree on the verdict AND the search
+    counters -- the pass only removes work that provably yields zero
+    symbolic moves."""
+
+    def _check(self, system, properties):
+        for ltl_property in properties:
+            pruned, unpruned = _verify_both_ways(system, ltl_property)
+            _assert_parity(pruned, unpruned, ltl_property.name)
+
+    def test_statically_dead_child_is_skipped_and_counted(self):
+        """A child whose opening guard is unsatisfiable on its own (no
+        constant environment needed) is one of the dataflow dead openings:
+        skipping it explores the same states, and every skip is counted."""
+        from repro.analysis import compute_dataflow_facts, compute_static_facts
+
+        system = _system_with_dead_child()
+        assert "Dead" in compute_static_facts(system).unsat_opening_tasks
+        facts = compute_dataflow_facts(system).for_task("Main")
+        assert "Dead" in facts.dead_child_openings
+        assert not facts.dead_services
         properties = [
             LTLFOProperty(
                 "Main",
@@ -125,77 +173,21 @@ class TestVerdictPreservation:
         ]
         for ltl_property in properties:
             pruned, unpruned = _verify_both_ways(system, ltl_property)
-            assert pruned.outcome == unpruned.outcome, ltl_property.name
-            # The dead subtree never contributed states, so the explored
-            # space is identical, not merely verdict-equivalent.
-            assert pruned.stats.states_explored == unpruned.stats.states_explored
-
-    def test_trivially_true_property_short_circuits_to_satisfied(self):
-        system = _system_with_dead_child()
-        trivial = LTLFOProperty("Main", parse_ltl("true"), {}, name="triv")
-        pruned, unpruned = _verify_both_ways(system, trivial)
-        assert pruned.satisfied and unpruned.satisfied
-        assert pruned.stats.states_explored == 0
-
-    def test_short_circuit_still_validates_the_property(self):
-        """Error behaviour is identical with pruning on or off."""
-        system = _system_with_dead_child()
-        bad = LTLFOProperty(
-            "Main", parse_ltl("true & zap"), {}, name="bad-service-ref"
-        )
-        for options in (VerifierOptions(), VerifierOptions(static_pruning=False)):
-            with pytest.raises(ValueError, match="zap"):
-                Verifier(system, options).verify(bad)
-
-
-class TestFourWayParity:
-    """static_pruning x dataflow_pruning: all four configurations must agree
-    on the verdict AND the explored-state count -- both passes only remove
-    work that provably yields zero symbolic moves."""
-
-    def _assert_parity(self, system, properties):
-        for ltl_property in properties:
-            results = _verify_four_ways(system, ltl_property)
-            baseline = results[(False, False)]
-            for combo, result in sorted(results.items()):
-                assert result.outcome == baseline.outcome, (
-                    f"{ltl_property.name} {combo}: {result.outcome}"
-                    f" != {baseline.outcome}"
-                )
-                assert (
-                    result.stats.states_explored == baseline.stats.states_explored
-                ), f"{ltl_property.name} {combo}"
-
-    def test_dead_child_system(self):
-        system = _system_with_dead_child()
-        self._assert_parity(
-            system,
-            [
-                LTLFOProperty(
-                    "Main",
-                    parse_ltl("G ns"),
-                    {"ns": Neq(Var("status"), Const("shipped"))},
-                    name="never-shipped",
-                ),
-                LTLFOProperty(
-                    "Main",
-                    parse_ltl("F p"),
-                    {"p": Eq(Var("status"), Const("picked"))},
-                    name="eventually-picked",
-                ),
-            ],
-        )
+            _assert_parity(pruned, unpruned, ltl_property.name)
+            assert pruned.stats.dataflow_services_skipped > 0
+            assert unpruned.stats.dataflow_services_skipped == 0
 
     def test_pinned_mode_system(self):
-        """The dataflow-only kills: 'premium_only' and the 'Premium' child are
-        statically satisfiable, so only constant propagation can prune them."""
+        """The constant-propagation kills: 'premium_only' and the 'Premium'
+        child are satisfiable in isolation, so only the task's constant
+        environment can prune them."""
         system = _pinned_mode_system()
         from repro.analysis import compute_dataflow_facts
 
         facts = compute_dataflow_facts(system).for_task("Main")
         assert "premium_only" in facts.dead_services
         assert "Premium" in facts.dead_child_openings
-        self._assert_parity(
+        self._check(
             system,
             [
                 LTLFOProperty(
@@ -231,23 +223,34 @@ class TestFourWayParity:
 
 
 class TestOptionsCompatibility:
-    def test_static_pruning_defaults_on_and_is_a_known_key(self):
-        options = VerifierOptions()
-        assert options.static_pruning is True
+    def test_default_canonical_dict_is_unchanged(self):
+        """Fingerprint compatibility: the default serializes exactly as the
+        earlier schemas did, or every persisted result of every earlier
+        store would be orphaned."""
+        assert VerifierOptions().as_dict() == {
+            "state_pruning": True,
+            "data_structure_support": True,
+            "static_analysis": True,
+            "monotone_pruning": True,
+            "check_repeated_reachability": True,
+            "use_artifact_relations": True,
+            "max_states": 200_000,
+            "timeout_seconds": None,
+            "max_repeated_states": 100_000,
+        }
+
+    def test_retired_static_pruning_key_loads_as_the_default(self):
+        """Stored option dicts and spec files from before the merge still
+        load; the retired pre-search switch selects nothing any more."""
+        assert "static_pruning" not in {f.name for f in fields(VerifierOptions)}
+        assert VerifierOptions.from_dict({"static_pruning": False}) == VerifierOptions()
+        assert VerifierOptions.from_dict(
+            {"static_pruning": True, "max_states": 50}
+        ) == VerifierOptions(max_states=50)
+
+    def test_retired_static_pruning_key_is_still_known(self):
+        """Older API clients that still send the key are not rejected."""
         assert "static_pruning" in VerifierOptions.known_keys()
-
-    def test_default_omitted_from_canonical_dict(self):
-        """Fingerprint compatibility: the default must serialize exactly as
-        the pre-static-pruning schema did, or every persisted result of
-        every earlier store would be orphaned."""
-        data = VerifierOptions().as_dict()
-        assert "static_pruning" not in data
-        assert VerifierOptions.from_dict(data).static_pruning is True
-
-    def test_disabled_value_round_trips(self):
-        data = VerifierOptions(static_pruning=False).as_dict()
-        assert data["static_pruning"] is False
-        assert VerifierOptions.from_dict(data).static_pruning is False
 
     def test_dataflow_pruning_defaults_on_and_is_a_known_key(self):
         options = VerifierOptions()
@@ -255,8 +258,8 @@ class TestOptionsCompatibility:
         assert "dataflow_pruning" in VerifierOptions.known_keys()
 
     def test_dataflow_default_omitted_from_canonical_dict(self):
-        """Same fingerprint rule as static_pruning: the default serializes
-        exactly as the older schemas did."""
+        """The default is omitted, so it serializes exactly as the older
+        schemas did."""
         data = VerifierOptions().as_dict()
         assert "dataflow_pruning" not in data
         assert VerifierOptions.from_dict(data).dataflow_pruning is True
@@ -271,14 +274,14 @@ class TestOptionsCompatibility:
 
 
 @pytest.mark.slow
-def test_differential_pruning_over_benchmark_corpus():
+def test_two_way_differential_over_benchmark_corpus():
     """Every benchmark workflow x generated property: identical verdicts
-    (and search sizes) with the pruning pass on and off."""
+    and search counters with dataflow_pruning on and off."""
     from repro.benchmark.properties import LTL_TEMPLATES, generate_properties
     from repro.benchmark.realworld import REAL_WORKFLOW_FACTORIES
 
     # The same bounded budget on both sides keeps unknowns deterministic:
-    # the searches are identical modulo pruned-dead subtrees, so a budget
+    # the searches are identical modulo pruned dead work, so a budget
     # exhaustion hits at the same state count with the pass on or off.
     budget = dict(max_states=1500, max_repeated_states=1500, timeout_seconds=30)
     compared = 0
@@ -286,39 +289,6 @@ def test_differential_pruning_over_benchmark_corpus():
         system = factory()
         for ltl_property in generate_properties(system, templates=LTL_TEMPLATES):
             pruned, unpruned = _verify_both_ways(system, ltl_property, **budget)
-            assert pruned.outcome == unpruned.outcome, (
-                f"{name}/{ltl_property.name}: pruned={pruned.outcome}"
-                f" unpruned={unpruned.outcome}"
-            )
-            assert (
-                pruned.stats.states_explored == unpruned.stats.states_explored
-            ), f"{name}/{ltl_property.name}"
-            compared += 1
-    assert compared >= 20, "corpus unexpectedly small -- differential audit is hollow"
-
-
-@pytest.mark.slow
-def test_four_way_differential_over_benchmark_corpus():
-    """The full 2x2 grid (static_pruning x dataflow_pruning) over every
-    benchmark workflow x generated property: identical verdicts and
-    explored-state counts in all four configurations."""
-    from repro.benchmark.properties import LTL_TEMPLATES, generate_properties
-    from repro.benchmark.realworld import REAL_WORKFLOW_FACTORIES
-
-    budget = dict(max_states=1500, max_repeated_states=1500, timeout_seconds=30)
-    compared = 0
-    for name, factory in sorted(REAL_WORKFLOW_FACTORIES.items()):
-        system = factory()
-        for ltl_property in generate_properties(system, templates=LTL_TEMPLATES):
-            results = _verify_four_ways(system, ltl_property, **budget)
-            baseline = results[(False, False)]
-            for combo, result in sorted(results.items()):
-                assert result.outcome == baseline.outcome, (
-                    f"{name}/{ltl_property.name} {combo}:"
-                    f" {result.outcome} != {baseline.outcome}"
-                )
-                assert (
-                    result.stats.states_explored == baseline.stats.states_explored
-                ), f"{name}/{ltl_property.name} {combo}"
+            _assert_parity(pruned, unpruned, f"{name}/{ltl_property.name}")
             compared += 1
     assert compared >= 20, "corpus unexpectedly small -- differential audit is hollow"

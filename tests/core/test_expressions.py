@@ -1,7 +1,13 @@
 """Unit tests for navigation expressions and the expression universe."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.expressions import ConstExpr, ExpressionUniverse, NULL_EXPR, NavExpr
 from repro.has.schema import DatabaseSchema
 from repro.has.types import IdType, VALUE
@@ -23,6 +29,30 @@ class TestConstExpr:
     def test_string_rendering(self):
         assert str(ConstExpr("Good")) == '"Good"'
         assert str(ConstExpr(3)) == "3"
+
+    def test_equal_constants_hash_equal(self):
+        assert ConstExpr(1) == ConstExpr(1.0)
+        assert hash(ConstExpr(1)) == hash(ConstExpr(1.0))
+        assert hash(ConstExpr(None)) == hash(NULL_EXPR)
+
+    def test_hash_is_the_same_in_every_process(self):
+        """Set and dict order (hence the search order) must not depend on
+        the process: under one PYTHONHASHSEED, two interpreters agree on
+        the hash of every constant, null included."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": src}
+        script = (
+            "from repro.core.expressions import ConstExpr, NULL_EXPR;"
+            "print(hash(NULL_EXPR), hash(ConstExpr('a')), hash(ConstExpr(2)))"
+        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            for _ in range(2)
+        }
+        assert len(outputs) == 1, outputs
 
 
 class TestNavExpr:

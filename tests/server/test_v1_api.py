@@ -156,6 +156,27 @@ class TestV1Protocol:
             client.healthz()
 
 
+class TestRetiredOptionKeys:
+    def test_static_pruning_key_gets_the_default_fingerprint(self, idle_server, tiny_system):
+        """The retired pre-search pruning switch (now part of
+        ``dataflow_pruning``) is still accepted from older clients, and
+        selects nothing: the job is the default-options job."""
+        payload = {
+            "system": dump_system(tiny_system),
+            "properties": [dump_property(_properties()[0])],
+        }
+        status, _, retired = _raw(
+            f"{idle_server.url}/v1/jobs", "POST",
+            {**payload, "options": {"static_pruning": False}},
+        )
+        assert status == 202
+        status, _, default = _raw(
+            f"{idle_server.url}/v1/jobs", "POST", {**payload, "options": {}}
+        )
+        assert status == 202
+        assert retired["jobs"][0]["fingerprint"] == default["jobs"][0]["fingerprint"]
+
+
 class TestJobsListValidation:
     """``GET /v1/jobs`` query validation: unknown ``status`` is always a
     400 (even alongside ``?id=``), ``limit`` is validated and capped."""
