@@ -1,7 +1,7 @@
 """Verification-as-a-service: a persistent job store behind an HTTP JSON API.
 
-The server turns the batch :mod:`repro.service` engine into a long-running
-process with durable state (pure stdlib: ``http.server`` + ``sqlite3``):
+The server runs the verifier as a long-running process with durable state
+(pure stdlib: ``http.server`` + ``sqlite3`` + ``multiprocessing``):
 
 ::
 
@@ -15,7 +15,10 @@ already accepted) and serves previously computed results without
 re-verifying (see :mod:`repro.server.recovery`); the in-memory LRU result
 cache acts as a read-through layer over the store
 (:class:`repro.server.store.StoreBackedCache`); a sweeper thread expires
-TTL'd jobs and their now-unreferenced results.
+TTL'd jobs and their now-unreferenced results.  Worker slots
+(:class:`repro.server.workers.WorkerSlot`) claim and run the jobs, with the
+search either in the slot's thread or on a child process
+(:class:`repro.server.workers.ProcessWorkerAgent`).
 
 The HTTP surface is versioned under ``/v1`` (``POST /v1/jobs``,
 ``GET /v1/jobs``, ``GET /v1/jobs/<id>``, ``DELETE /v1/jobs/<id>``,

@@ -1019,9 +1019,9 @@ class JobStore:
                 raise KeyError(f"no stored job with id {job_id!r}")
             partial_json = None
             if persist_result:
-                # The read-through cache usually persisted the result already
-                # (results are deterministic per fingerprint): skip the
-                # redundant serialize-and-write on the hot path.
+                # A cache hit's result, or one a twin job computed first, is
+                # stored already (results are deterministic per
+                # fingerprint): skip the redundant serialize-and-write.
                 exists = conn.execute(
                     "SELECT 1 FROM results WHERE fingerprint = ?", (row["fingerprint"],)
                 ).fetchone()

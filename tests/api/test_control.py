@@ -10,7 +10,6 @@ from repro.core.control import (
     STOP_DEADLINE,
     CancellationToken,
     ProgressEvent,
-    RateLimitedPoll,
     SearchControl,
 )
 
@@ -61,47 +60,27 @@ class TestCancellationToken:
         assert CancellationToken.with_timeout(None).deadline is None
 
 
-class TestRateLimitedPoll:
-    """The store-poll external backend: rate-limited, latching, fail-safe."""
-
-    def test_polls_at_most_once_per_interval(self):
+class TestExternalBackend:
+    def test_external_callable_cancels_and_latches(self):
+        """The worker slots' backend: a cheap pollable (an Event's is_set),
+        consulted on every check until it fires, then latched."""
+        flag = threading.Event()
         calls = []
-        poll = RateLimitedPoll(lambda: calls.append(1) and False, interval=60.0)
-        assert poll() is False
-        for _ in range(100):  # every further call answers from the cache
-            assert poll() is False
-        assert len(calls) == 1
 
-    def test_zero_interval_polls_every_time(self):
-        calls = []
-        poll = RateLimitedPoll(lambda: len(calls) == 2 or calls.append(1), interval=0.0)
-        assert poll() is False
-        assert poll() is False
-        assert poll() is True  # third poll: the underlying flag fired
+        def poll():
+            calls.append(1)
+            return flag.is_set()
 
-    def test_truthy_result_latches_without_repolling(self):
-        calls = []
-        poll = RateLimitedPoll(lambda: calls.append(1) or True, interval=0.0)
-        assert poll() is True
-        assert poll() is True
-        assert len(calls) == 1  # latched: the pollable is never consulted again
-
-    def test_poll_exceptions_read_as_keep_going(self):
-        def broken():
-            raise RuntimeError("store closed")
-
-        poll = RateLimitedPoll(broken, interval=0.0)
-        assert poll() is False  # a dying store must never kill the search
-
-    def test_as_token_external_backend(self):
-        flag = []
-        token = CancellationToken(
-            external=RateLimitedPoll(lambda: bool(flag), interval=0.0)
-        )
+        token = CancellationToken(external=poll)
         assert not token.cancelled
-        flag.append(1)
+        assert token.stop_reason() is None
+        flag.set()
         assert token.cancelled
         assert token.stop_reason() == STOP_CANCELLED
+        polled = len(calls)
+        flag.clear()  # the slot reuses its flag for the next job
+        assert token.cancelled  # latched: the backend is not consulted again
+        assert len(calls) == polled
 
 
 class TestSearchControl:

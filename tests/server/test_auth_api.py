@@ -308,6 +308,32 @@ class TestPerTenantMetrics:
         assert status == 200 and "alice" in body.get("tenants", {})
 
 
+    def test_tenant_counters_match_on_both_worker_models(self, tmp_path, tiny_system):
+        """A tenant's search is counted the same whether the worker slot runs
+        it in-process or on a child process."""
+        counters = {}
+        for model in ("thread", "process"):
+            server = VerificationServer(
+                store_path=tmp_path / f"{model}.db", port=0, workers=1,
+                sweep_interval=0.2, worker_model=model, auth_enabled=True,
+            )
+            server.start()
+            try:
+                if server.worker_model != model:  # pragma: no cover - sandbox
+                    pytest.skip(f"no process support: {server.worker_fallback_error}")
+                _, key = server.tenants.create("alice", tenant_id="alice")
+                alice = VerifasClient(server.url, api_key=key,
+                                      poll_initial=0.02, poll_max=0.2)
+                job_id = alice.submit_payload(_payload(tiny_system, 70))[0].id
+                alice.wait(job_id, deadline_seconds=60)
+                counters[model] = server.metrics_view()["tenants"]["alice"]["counters"]
+            finally:
+                server.stop()
+        assert counters["thread"]["verifications_run"] == 1
+        assert counters["thread"]["jobs_completed"] == 1
+        assert counters["process"] == counters["thread"]
+
+
 class TestTestAuthBootstrap:
     def test_repro_test_auth_provisions_the_test_tenant(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_AUTH", "1")

@@ -88,7 +88,7 @@ class TestSharedStoreInProcess:
         b = VerificationServer(
             store_path=store_path, port=0, server_id="b",
             sweep_interval=0.1, progress_interval=25,
-            heartbeat_interval=0.1, cancel_poll_interval=0.05,
+            heartbeat_interval=0.1,
             stale_heartbeat_seconds=stale_after,
             worker_model=worker_model, **b_kwargs,
         )

@@ -70,6 +70,26 @@ class TestLivenessAndReadiness:
         assert checks["sweeper"]["ok"] is True
         assert checks["sweeper"]["thread_alive"] is True
 
+    def test_fresh_process_server_is_ready_before_any_job(self, tmp_path):
+        """Readiness counts live worker slots: a process slot spawns its
+        child on its first claimed job, so a fresh server has none yet."""
+        server = VerificationServer(
+            store_path=tmp_path / "jobs.db", port=0, workers=2,
+            sweep_interval=0.1, worker_model="process",
+        )
+        server.start()
+        try:
+            if server.worker_model != "process":  # pragma: no cover
+                pytest.skip(f"no process support: {server.worker_fallback_error}")
+            ready, view = VerifasClient(server.url).readyz()
+            assert ready is True
+            workers = view["checks"]["workers"]
+            assert workers["model"] == "process"
+            assert workers["alive"] == workers["total"] == 2
+            assert server.metrics_view()["workers"]["processes_alive"] == 0
+        finally:
+            server.stop()
+
     def test_readyz_http_status_flips_to_503_when_store_fails(self, server):
         server.store.ping = lambda *a, **kw: False  # simulate a wedged store
         status, _ctype, body = _raw_get(f"{server.url}/readyz")
@@ -119,11 +139,10 @@ class TestPrometheusExposition:
         assert 'repro_job_latency_seconds{quantile="0.5"}' in text
         assert "repro_job_latency_seconds_count 1" in text
 
-        # Per-worker gauges appear only once workers register in the pool
-        # (the process model does; render_prometheus label formatting is
-        # unit-tested in test_metrics.py).
-        if server.metrics.worker_gauges.snapshot():
-            assert 'repro_worker_busy{worker_id="' in text
+        # Every worker slot registers its gauges, on both worker models
+        # (render_prometheus label formatting is unit-tested in
+        # test_metrics.py).
+        assert 'repro_worker_busy{worker_id="' in text
 
     def test_accept_header_negotiates_text(self, server):
         status, ctype, body = _raw_get(
