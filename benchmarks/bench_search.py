@@ -19,11 +19,16 @@ Measures, on the current machine:
   successor-loop cost of the dead gates -- and hence the pruning speedup --
   growing with N.  The run asserts a >= 1.1x successor-loop speedup over
   the unpruned search at the widest point.
+
+The explored-state counts of budget-capped rows follow set iteration order,
+and so the interpreter's hash seed: the script re-executes itself under
+``PYTHONHASHSEED=0`` unless the variable is already set.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import statistics
 import sys
 import time
@@ -195,9 +200,13 @@ def bench_pinned_dead_family():
 
 
 def main() -> None:
+    if "PYTHONHASHSEED" not in os.environ:
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        os.execve(sys.executable, [sys.executable, __file__, *sys.argv[1:]], env)
     report = {
         "generated": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "python": sys.version.split()[0],
+        "hash_seed": os.environ["PYTHONHASHSEED"],
         "corpus_search": bench_corpus_search(),
         "pinned_dead_family": bench_pinned_dead_family(),
     }

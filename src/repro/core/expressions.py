@@ -15,7 +15,8 @@ congruence closure (if ``e ~ e'`` then ``e.A ~ e'.A``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.has.schema import DatabaseSchema
 from repro.has.types import IdType, VALUE, ValueType, VarType
@@ -76,6 +77,8 @@ Expression = Union[ConstExpr, NavExpr]
 #: The null constant expression.
 NULL_EXPR = ConstExpr(None)
 
+_NO_NAVIGATIONS: Dict[str, Expression] = {}
+
 
 class ExpressionUniverse:
     """The finite set of expressions for one collection of typed roots.
@@ -92,6 +95,7 @@ class ExpressionUniverse:
         self._roots = dict(roots)
         self._types: Dict[Expression, VarType] = {}
         self._navigations: Dict[Expression, Dict[str, Expression]] = {}
+        self._labels: Dict[Expression, str] = {}
         self._constants: List[ConstExpr] = []
         self._expressions: List[Expression] = []
         for root, var_type in self._roots.items():
@@ -159,9 +163,23 @@ class ExpressionUniverse:
         """``expression.attribute`` if it exists in the universe, else ``None``."""
         return self._navigations.get(expression, {}).get(attribute)
 
-    def navigations_of(self, expression: Expression) -> Dict[str, Expression]:
-        """All single-step navigations from *expression* (attribute -> expression)."""
-        return dict(self._navigations.get(expression, {}))
+    def navigations_of(self, expression: Expression) -> Mapping[str, Expression]:
+        """All single-step navigations from *expression* (attribute -> expression).
+
+        A read-only view of the universe's own mapping, not a copy.
+        """
+        return MappingProxyType(self._navigations.get(expression, _NO_NAVIGATIONS))
+
+    def label(self, expression: Expression) -> str:
+        """``str(expression)``, built once per expression and then shared.
+
+        Canonical keys of partial isomorphism types are sets of these
+        labels, so sharing one string per expression keeps every key small.
+        """
+        label = self._labels.get(expression)
+        if label is None:
+            label = self._labels[expression] = str(expression)
+        return label
 
     def expressions_rooted_at(self, roots: Iterable[str]) -> Set[Expression]:
         """All navigation expressions whose root variable is in *roots*, plus all constants."""

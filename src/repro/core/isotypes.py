@@ -52,7 +52,7 @@ class PartialIsoType:
         "_neq",
         "_key",
         "_hash",
-        "_classes_cache",
+        "_key_text",
         "_eq_key",
         "_neq_key",
     )
@@ -68,7 +68,7 @@ class PartialIsoType:
         self._neq: Set[FrozenSet[Expression]] = set(neq) if neq else set()
         self._key: Optional[FrozenSet] = None
         self._hash: Optional[int] = None
-        self._classes_cache: Optional[Dict[Expression, Set[Expression]]] = None
+        self._key_text: Optional[str] = None
         self._eq_key: Optional[FrozenSet] = None
         self._neq_key: Optional[FrozenSet] = None
 
@@ -127,23 +127,23 @@ class PartialIsoType:
     def equivalence_classes(self) -> Dict[Expression, Set[Expression]]:
         """Representative -> members, for all mentioned expressions.
 
-        The result is cached: types are immutable once handed out by
-        :meth:`extend` / :meth:`project` (all mutation happens while the new
-        copy is still private to those methods).
+        Built afresh on each call and not kept.  :meth:`canonical_key`
+        builds it once per type and :meth:`project` once more per projection,
+        which the search memoises (see :mod:`repro.core.transitions`), so a
+        kept partition would cost memory in every type for little reuse.
         """
-        if self._classes_cache is None:
-            classes: Dict[Expression, Set[Expression]] = {}
-            for expression in self.members():
-                classes.setdefault(self._find(expression), set()).add(expression)
-            self._classes_cache = classes
-        return self._classes_cache
+        classes: Dict[Expression, Set[Expression]] = {}
+        for expression in self.members():
+            classes.setdefault(self._find(expression), set()).add(expression)
+        return classes
 
     def constraints(self) -> List[Constraint]:
         """An explicit list of (closed) constraints: all = pairs within classes, all ≠ pairs."""
         result: List[Constraint] = []
+        label = self.universe.label
         classes = self.equivalence_classes()
         for root, members in classes.items():
-            ordered = sorted(members, key=str)
+            ordered = sorted(members, key=label)
             for i in range(len(ordered)):
                 for j in range(i + 1, len(ordered)):
                     result.append((ordered[i], ordered[j], EQ))
@@ -153,7 +153,7 @@ class PartialIsoType:
             right_members = classes.get(right_root, {right_root})
             for left in left_members:
                 for right in right_members:
-                    first, second = sorted((left, right), key=str)
+                    first, second = sorted((left, right), key=label)
                     result.append((first, second, NEQ))
         return result
 
@@ -162,11 +162,18 @@ class PartialIsoType:
     def canonical_key(self) -> FrozenSet:
         """A canonical, order-independent encoding of all entailed constraints."""
         if self._key is None:
+            label = self.universe.label
             encoded = set()
             for left, right, op in self.constraints():
-                encoded.add((str(left), str(right), op))
+                encoded.add((label(left), label(right), op))
             self._key = frozenset(encoded)
         return self._key
+
+    def key_text(self) -> str:
+        """``str(canonical_key())``, built once: the sort key of PSI counters."""
+        if self._key_text is None:
+            self._key_text = str(self.canonical_key())
+        return self._key_text
 
     def eq_key(self) -> FrozenSet:
         """The equality edges of :meth:`canonical_key` (cached)."""
@@ -329,7 +336,10 @@ class PartialIsoType:
         classes = self.equivalence_classes()
         pending: List[Constraint] = []
         for members in classes.values():
-            kept_members = sorted((m for m in members if m in kept or isinstance(m, ConstExpr)), key=str)
+            kept_members = sorted(
+                (m for m in members if m in kept or isinstance(m, ConstExpr)),
+                key=self.universe.label,
+            )
             for i in range(len(kept_members) - 1):
                 pending.append((kept_members[i], kept_members[i + 1], EQ))
         for pair in self._neq:

@@ -17,12 +17,21 @@ verification, the successors of a partial symbolic instance under
   are folded into the repeated-reachability machinery), and
 * the global variables of the LTL-FO property, which behave like extra rigid
   variables: they survive every projection and are never overwritten.
+
+The isotype algebra of a search is memoised on the transition system: each
+``evaluate(τ, φ)``, ``project(τ, roots)``, stored-tuple type of an insertion
+and renamed stored type of a retrieval is computed once per (type, argument)
+pair and then reused.  Types are immutable and compare by canonical key, so a
+memo hit returns a result equal to the one a fresh computation would build.
+The tables live and die with the transition system, which one
+:meth:`~repro.core.verifier.Verifier.verify` call creates and shares between
+the main search and the repeated-reachability phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.expressions import ExpressionUniverse
 from repro.core.flatten import flatten_condition
@@ -128,8 +137,19 @@ class SymbolicTransitionSystem:
             for constant in condition.constants():
                 self.universe.add_constant(constant.value)
 
-        # Pre-flatten every condition the search will evaluate.
-        self._flattened: Dict[int, List[List[Constraint]]] = {}
+        # Pre-flatten every condition the search will evaluate.  Each entry
+        # holds its condition, so the id stays taken while it is a key here
+        # and in the evaluate memo.
+        self._flattened: Dict[int, Tuple[Condition, List[List[Constraint]]]] = {}
+
+        # Per-search memo tables of the isotype algebra (see the module
+        # docstring); conditions are keyed by id, services by name.
+        self._evaluate_memo: Dict[Tuple[PartialIsoType, int], Tuple[PartialIsoType, ...]] = {}
+        self._project_memo: Dict[Tuple[PartialIsoType, FrozenSet[str]], PartialIsoType] = {}
+        self._stored_memo: Dict[
+            Tuple[int, str], Tuple[PartialIsoType, Optional[PartialIsoType]]
+        ] = {}
+        self._retrieved_memo: Dict[Tuple[PartialIsoType, str], Optional[PartialIsoType]] = {}
 
         # Static analysis: collect every constraint any transition could add.
         all_conjunctions: List[Sequence[Constraint]] = []
@@ -183,35 +203,42 @@ class SymbolicTransitionSystem:
                 ]
                 self.dataflow_conjunctions_dropped += len(conjunctions) - len(kept)
                 conjunctions = kept
-            self._flattened[key] = conjunctions
-        return self._flattened[key]
+            self._flattened[key] = (condition, conjunctions)
+        return self._flattened[key][1]
 
     def extend(self, tau: PartialIsoType, constraints: Sequence[Constraint]) -> Optional[PartialIsoType]:
         """Extend a type with constraints, after static-analysis filtering."""
         filtered = self.constraint_filter.filter_constraints(constraints)
         return tau.extend(filtered)
 
-    def evaluate(self, tau: PartialIsoType, condition: Condition) -> List[PartialIsoType]:
-        """``eval(τ, φ)`` with static-analysis filtering and de-duplication."""
-        results: List[PartialIsoType] = []
-        seen = set()
-        for conjunction in self.flatten(condition):
-            extended = self.extend(tau, conjunction)
-            if extended is None:
-                continue
-            key = extended.canonical_key()
-            if key not in seen:
-                seen.add(key)
-                results.append(extended)
+    def evaluate(self, tau: PartialIsoType, condition: Condition) -> Tuple[PartialIsoType, ...]:
+        """``eval(τ, φ)`` with static-analysis filtering and de-duplication (memoised)."""
+        memo_key = (tau, id(condition))
+        results = self._evaluate_memo.get(memo_key)
+        if results is None:
+            unique: Dict[FrozenSet, PartialIsoType] = {}
+            for conjunction in self.flatten(condition):
+                extended = self.extend(tau, conjunction)
+                if extended is not None:
+                    unique.setdefault(extended.canonical_key(), extended)
+            results = self._evaluate_memo[memo_key] = tuple(unique.values())
         return results
+
+    def project(self, tau: PartialIsoType, roots: FrozenSet[str]) -> PartialIsoType:
+        """``τ`` restricted to the expressions rooted at *roots* (memoised)."""
+        memo_key = (tau, roots)
+        projected = self._project_memo.get(memo_key)
+        if projected is None:
+            projected = self._project_memo[memo_key] = tau.project(roots)
+        return projected
 
     @property
     def observable_services(self) -> Tuple[str, ...]:
         """All service names observable in local runs, plus the stutter step."""
         return self.system.observable_service_names(self.task_name) + (TERMINATED_SERVICE,)
 
-    def _kept_roots(self, propagated: Iterable[str]) -> Set[str]:
-        return set(propagated) | set(self._global_roots)
+    def _kept_roots(self, propagated: Iterable[str]) -> FrozenSet[str]:
+        return frozenset(propagated).union(self._global_roots)
 
     def _initial_children(self) -> Dict[str, bool]:
         children = {child: False for child in self.system.children_of(self.task_name)}
@@ -297,7 +324,7 @@ class SymbolicTransitionSystem:
         kept = self._kept_roots(service.propagated)
         moves: List[SymbolicMove] = []
         for pre_extended in self.evaluate(psi.tau, service.pre):
-            projected = pre_extended.project(kept)
+            projected = self.project(pre_extended, kept)
             for post_extended in self.evaluate(projected, service.post):
                 if update is None:
                     moves.append(SymbolicMove(service.name, psi.with_tau(post_extended)))
@@ -319,21 +346,37 @@ class SymbolicTransitionSystem:
         post_extended: PartialIsoType,
         update: Insert,
     ) -> List[SymbolicMove]:
-        relation = self.task.artifact_relation(update.relation)
-        target_universe = self._relation_universes[update.relation]
-        renaming = {
-            variable: attribute.name
-            for variable, attribute in zip(update.variables, relation.attributes)
-        }
-        stored_type = pre_extended.project(set(update.variables)).rename_roots(
-            renaming, target_universe
-        )
+        stored_type = self._stored_type(pre_extended, service.name, update)
         if stored_type is None:  # pragma: no cover - defensive; renaming preserves consistency
             return []
         counters = psi.counter_map()
         key = (update.relation, stored_type)
         counters[key] = counter_add(counters.get(key, 0), 1)
         return [SymbolicMove(service.name, PSI.make(post_extended, counters, psi.child_map()))]
+
+    def _stored_type(
+        self, pre_extended: PartialIsoType, service: str, update: Insert
+    ) -> Optional[PartialIsoType]:
+        """The type of the inserted tuple, over the relation's attributes (memoised).
+
+        Keyed by the identity of *pre_extended*, not its value: PSI counters
+        are ordered by the printed canonical key of their stored type, whose
+        element order follows how the type was built, so the stored type of
+        a move is always derived from that move's own pre-type object.  The
+        entry holds the pre-type, so its id stays taken.
+        """
+        memo_key = (id(pre_extended), service)
+        if memo_key not in self._stored_memo:
+            relation = self.task.artifact_relation(update.relation)
+            renaming = {
+                variable: attribute.name
+                for variable, attribute in zip(update.variables, relation.attributes)
+            }
+            stored = pre_extended.project(update.variables).rename_roots(
+                renaming, self._relation_universes[update.relation]
+            )
+            self._stored_memo[memo_key] = (pre_extended, stored)
+        return self._stored_memo[memo_key][1]
 
     def _retrieve_moves(
         self,
@@ -342,16 +385,11 @@ class SymbolicTransitionSystem:
         post_extended: PartialIsoType,
         update: Retrieve,
     ) -> List[SymbolicMove]:
-        relation = self.task.artifact_relation(update.relation)
-        renaming = {
-            attribute.name: variable
-            for variable, attribute in zip(update.variables, relation.attributes)
-        }
         moves: List[SymbolicMove] = []
         for (relation_name, stored_type), count in psi.counters:
             if relation_name != update.relation:
                 continue
-            retrieved = stored_type.rename_roots(renaming, self.universe)
+            retrieved = self._retrieved_type(stored_type, service.name, update)
             if retrieved is None:  # pragma: no cover - defensive
                 continue
             merged = self.extend(post_extended, retrieved.constraints())
@@ -362,6 +400,20 @@ class SymbolicTransitionSystem:
                 continue
             moves.append(SymbolicMove(service.name, successor))
         return moves
+
+    def _retrieved_type(
+        self, stored_type: PartialIsoType, service: str, update: Retrieve
+    ) -> Optional[PartialIsoType]:
+        """A stored tuple type renamed onto the retrieving variables (memoised)."""
+        memo_key = (stored_type, service)
+        if memo_key not in self._retrieved_memo:
+            relation = self.task.artifact_relation(update.relation)
+            renaming = {
+                attribute.name: variable
+                for variable, attribute in zip(update.variables, relation.attributes)
+            }
+            self._retrieved_memo[memo_key] = stored_type.rename_roots(renaming, self.universe)
+        return self._retrieved_memo[memo_key]
 
     # -- child opening / closing ---------------------------------------------------------
 
@@ -392,7 +444,7 @@ class SymbolicTransitionSystem:
             # The returned variables are overwritten by the child's outputs:
             # drop their accumulated constraints; later condition evaluations
             # re-constrain them lazily, covering every child behaviour.
-            projected = psi.tau.project(kept)
+            projected = self.project(psi.tau, kept)
             moves.append(SymbolicMove(closing.name, psi.with_tau(projected).with_child(child, False)))
         return moves
 

@@ -9,59 +9,22 @@ every corpus row (budget 200) and every synthetic row (budget 50).
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
-
 import pytest
 
-from repro.benchmark.properties import LTL_TEMPLATES, generate_properties
 from repro.benchmark.realworld import REAL_WORKFLOW_FACTORIES
 from repro.core.options import VerifierOptions
 from repro.core.verifier import Verifier
-from repro.has.conditions import Const, Eq, Var
-from repro.ltl import LTLFOProperty, parse_ltl
+
+from search_golden import (
+    CORPUS_BUDGET,
+    SYNTHETIC_BUDGET,
+    corpus_rows,
+    synthetic_rows,
+    template_rows,
+)
 
 #: The search counts that must not depend on DSS.
 COUNTS = ("states_explored", "states_pruned", "states_deactivated", "transitions_computed")
-
-CORPUS_BUDGET = dict(max_states=200, max_repeated_states=200, timeout_seconds=20)
-SYNTHETIC_BUDGET = dict(max_states=50, max_repeated_states=50, timeout_seconds=30)
-
-
-def _template_rows(systems) -> Iterator[Tuple[str, object, LTLFOProperty]]:
-    for system in systems:
-        properties = generate_properties(system, seed=0)
-        for template, ltl_property in zip(LTL_TEMPLATES, properties):
-            yield f"{system.name}/{template.name}", system, ltl_property
-
-
-def _corpus_rows() -> Iterator[Tuple[str, object, LTLFOProperty]]:
-    """The real workflows x the Table-4 templates, plus the Section 2.1 bug
-    property on both order-fulfillment variants."""
-    systems = [factory() for _, factory in sorted(REAL_WORKFLOW_FACTORIES.items())]
-    yield from _template_rows(systems)
-    for name in ("order-fulfillment", "order-fulfillment-buggy"):
-        system = REAL_WORKFLOW_FACTORIES[name]()
-        yield f"{name}/ship-only-in-stock", system, LTLFOProperty(
-            "ProcessOrders",
-            parse_ltl("G (open_ShipItem -> in_stock)"),
-            conditions={"in_stock": Eq(Var("instock"), Const("Yes"))},
-            name="ship-only-in-stock",
-        )
-
-
-def _synthetic_rows() -> Iterator[Tuple[str, object, LTLFOProperty]]:
-    """The Appendix-D family at scale 0.4-0.8 (5 of 7 generated specs)."""
-    from repro.benchmark.synthetic import SyntheticConfig, synthetic_workflows
-
-    systems = synthetic_workflows(
-        count=7,
-        base_config=SyntheticConfig(
-            relations=3, tasks=3, variables_per_task=9, services_per_task=8
-        ),
-        seed=100,
-        scale_range=(0.4, 1.0),
-    )[:5]
-    yield from _template_rows(systems)
 
 
 def _assert_dss_parity(key: str, system, ltl_property, budget) -> None:
@@ -93,7 +56,7 @@ def _assert_dss_parity(key: str, system, ltl_property, budget) -> None:
 )
 def test_dss_parity_on_cheap_corpus_rows(key):
     system = REAL_WORKFLOW_FACTORIES[key.split("/")[0]]()
-    rows = {row[0]: row for row in _template_rows([system])}
+    rows = {row[0]: row for row in template_rows([system])}
     _assert_dss_parity(*rows[key], CORPUS_BUDGET)
 
 
@@ -101,7 +64,7 @@ def test_lost_covers_no_longer_run_order_fulfillment_into_the_budget():
     """A candidate filter that drops true covers runs this search into the
     800-state budget (UNKNOWN); with every cover found it ends VIOLATED."""
     system = REAL_WORKFLOW_FACTORIES["order-fulfillment-buggy"]()
-    rows = {row[0]: row for row in _template_rows([system])}
+    rows = {row[0]: row for row in template_rows([system])}
     _key, _system, ltl_property = rows["order-fulfillment-buggy/fair-response"]
     result = Verifier(
         system, VerifierOptions(max_states=800, max_repeated_states=800, timeout_seconds=20)
@@ -115,11 +78,11 @@ def test_dss_differential_over_corpus_and_synthetic_rows():
     """DSS on vs off on every corpus row (budget 200) and every synthetic
     row (budget 50): identical verdicts and search counts."""
     compared = 0
-    for key, system, ltl_property in _corpus_rows():
+    for key, system, ltl_property in corpus_rows():
         _assert_dss_parity(key, system, ltl_property, CORPUS_BUDGET)
         compared += 1
     assert compared == 158, "corpus changed size -- update the row count"
-    for key, system, ltl_property in _synthetic_rows():
+    for key, system, ltl_property in synthetic_rows():
         _assert_dss_parity(key, system, ltl_property, SYNTHETIC_BUDGET)
         compared += 1
     assert compared == 158 + 60, "synthetic family changed size -- update the row count"
