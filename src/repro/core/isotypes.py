@@ -52,7 +52,7 @@ class PartialIsoType:
         "_neq",
         "_key",
         "_hash",
-        "_key_text",
+        "_sort_key",
         "_eq_key",
         "_neq_key",
     )
@@ -68,7 +68,7 @@ class PartialIsoType:
         self._neq: Set[FrozenSet[Expression]] = set(neq) if neq else set()
         self._key: Optional[FrozenSet] = None
         self._hash: Optional[int] = None
-        self._key_text: Optional[str] = None
+        self._sort_key: Optional[Tuple[Tuple[str, str, str], ...]] = None
         self._eq_key: Optional[FrozenSet] = None
         self._neq_key: Optional[FrozenSet] = None
 
@@ -169,11 +169,16 @@ class PartialIsoType:
             self._key = frozenset(encoded)
         return self._key
 
-    def key_text(self) -> str:
-        """``str(canonical_key())``, built once: the sort key of PSI counters."""
-        if self._key_text is None:
-            self._key_text = str(self.canonical_key())
-        return self._key_text
+    def sort_key(self) -> Tuple[Tuple[str, str, str], ...]:
+        """:meth:`canonical_key` as a sorted tuple (cached): the sort key of PSI counters.
+
+        Equal types have equal sort keys however they were built, whereas
+        the iteration order of the key's frozenset follows its build history
+        and the hash seed.
+        """
+        if self._sort_key is None:
+            self._sort_key = tuple(sorted(self.canonical_key()))
+        return self._sort_key
 
     def eq_key(self) -> FrozenSet:
         """The equality edges of :meth:`canonical_key` (cached)."""

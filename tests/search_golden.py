@@ -12,8 +12,8 @@ The counts of a capped search depend on the order in which sets of strings
 iterate, and so on the interpreter's hash seed: the script always runs
 under ``PYTHONHASHSEED=0`` (it re-executes itself when the seed differs).
 
-    python tests/core/search_golden.py --write      # regenerate the golden file
-    python tests/core/search_golden.py KEY [KEY ...] # print those rows as JSON
+    python tests/search_golden.py --write      # regenerate the golden file
+    python tests/search_golden.py KEY [KEY ...] # print those rows as JSON
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ import sys
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-_SRC = str(Path(__file__).resolve().parents[2] / "src")
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "search_golden.json"
+GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "search_golden.json"
 HASH_SEED = "0"
 
 CORPUS_BUDGET = dict(max_states=200, max_repeated_states=200, timeout_seconds=20)
