@@ -22,10 +22,15 @@ The isotype algebra of a search is memoised on the transition system: each
 ``evaluate(τ, φ)``, ``project(τ, roots)``, stored-tuple type of an insertion
 and renamed stored type of a retrieval is computed once per (type, argument)
 pair and then reused.  Types are immutable and compare by canonical key, so a
-memo hit returns a result equal to the one a fresh computation would build.
-The tables live and die with the transition system, which one
+memo hit returns a type equal to the one a fresh computation would build,
+though possibly built along another path.  The search reads types only by
+value -- PSI counters are ordered by :meth:`PartialIsoType.sort_key`, not by
+the build-order-dependent iteration of the key -- so a hit leaves the search
+and its counts unchanged (``tests/data/search_golden.json`` pins them).  The
+tables live and die with the transition system, which one
 :meth:`~repro.core.verifier.Verifier.verify` call creates and shares between
-the main search and the repeated-reachability phase.
+the main search and the repeated-reachability phase.  They grow with the
+number of distinct types a search meets, not with the states it explores.
 """
 
 from __future__ import annotations
@@ -146,9 +151,7 @@ class SymbolicTransitionSystem:
         # docstring); conditions are keyed by id, services by name.
         self._evaluate_memo: Dict[Tuple[PartialIsoType, int], Tuple[PartialIsoType, ...]] = {}
         self._project_memo: Dict[Tuple[PartialIsoType, FrozenSet[str]], PartialIsoType] = {}
-        self._stored_memo: Dict[
-            Tuple[int, str], Tuple[PartialIsoType, Optional[PartialIsoType]]
-        ] = {}
+        self._stored_memo: Dict[Tuple[PartialIsoType, str], Optional[PartialIsoType]] = {}
         self._retrieved_memo: Dict[Tuple[PartialIsoType, str], Optional[PartialIsoType]] = {}
 
         # Static analysis: collect every constraint any transition could add.
@@ -357,26 +360,18 @@ class SymbolicTransitionSystem:
     def _stored_type(
         self, pre_extended: PartialIsoType, service: str, update: Insert
     ) -> Optional[PartialIsoType]:
-        """The type of the inserted tuple, over the relation's attributes (memoised).
-
-        Keyed by the identity of *pre_extended*, not its value: PSI counters
-        are ordered by the printed canonical key of their stored type, whose
-        element order follows how the type was built, so the stored type of
-        a move is always derived from that move's own pre-type object.  The
-        entry holds the pre-type, so its id stays taken.
-        """
-        memo_key = (id(pre_extended), service)
+        """The type of the inserted tuple, over the relation's attributes (memoised)."""
+        memo_key = (pre_extended, service)
         if memo_key not in self._stored_memo:
             relation = self.task.artifact_relation(update.relation)
             renaming = {
                 variable: attribute.name
                 for variable, attribute in zip(update.variables, relation.attributes)
             }
-            stored = pre_extended.project(update.variables).rename_roots(
+            self._stored_memo[memo_key] = pre_extended.project(update.variables).rename_roots(
                 renaming, self._relation_universes[update.relation]
             )
-            self._stored_memo[memo_key] = (pre_extended, stored)
-        return self._stored_memo[memo_key][1]
+        return self._stored_memo[memo_key]
 
     def _retrieve_moves(
         self,

@@ -275,20 +275,17 @@ class TestOptionsCompatibility:
 
 @pytest.mark.slow
 def test_two_way_differential_over_benchmark_corpus():
-    """Every benchmark workflow x generated property: identical verdicts
-    and search counters with dataflow_pruning on and off."""
-    from repro.benchmark.properties import LTL_TEMPLATES, generate_properties
-    from repro.benchmark.realworld import REAL_WORKFLOW_FACTORIES
+    """Every corpus row (the rows of the search-count golden file):
+    identical verdicts and search counters with dataflow_pruning on and off."""
+    from search_golden import corpus_rows
 
     # The same bounded budget on both sides keeps unknowns deterministic:
     # the searches are identical modulo pruned dead work, so a budget
     # exhaustion hits at the same state count with the pass on or off.
     budget = dict(max_states=1500, max_repeated_states=1500, timeout_seconds=30)
     compared = 0
-    for name, factory in sorted(REAL_WORKFLOW_FACTORIES.items()):
-        system = factory()
-        for ltl_property in generate_properties(system, templates=LTL_TEMPLATES):
-            pruned, unpruned = _verify_both_ways(system, ltl_property, **budget)
-            _assert_parity(pruned, unpruned, f"{name}/{ltl_property.name}")
-            compared += 1
+    for key, system, ltl_property in corpus_rows():
+        pruned, unpruned = _verify_both_ways(system, ltl_property, **budget)
+        _assert_parity(pruned, unpruned, key)
+        compared += 1
     assert compared >= 20, "corpus unexpectedly small -- differential audit is hollow"

@@ -24,8 +24,13 @@ from search_golden import CORPUS_BUDGET, template_rows
 
 MEMO_TABLES = ("_evaluate_memo", "_project_memo", "_stored_memo", "_retrieved_memo")
 
-#: Cheap corpus rows; support-tickets inserts into and retrieves from BACKLOG.
-ROWS = ("support-tickets/response", "insurance-claim/false", "order-fulfillment/false")
+#: Cheap corpus rows.  The first two insert into and retrieve from artifact
+#: relations; the first stores and retrieves tuples of many distinct types.
+ROWS = (
+    "expense-reimbursement/respond-within-two",
+    "support-tickets/response",
+    "order-fulfillment/false",
+)
 
 
 @pytest.fixture
@@ -52,12 +57,12 @@ def recorded(monkeypatch) -> List[SymbolicTransitionSystem]:
 
         def _stored_type(self, pre_extended, service, update):
             result = super()._stored_type(pre_extended, service, update)
-            self.calls.append(("stored", (pre_extended, update), result))
+            self.calls.append(("stored", (pre_extended, service, update), result))
             return result
 
         def _retrieved_type(self, stored_type, service, update):
             result = super()._retrieved_type(stored_type, service, update)
-            self.calls.append(("retrieved", (stored_type, update), result))
+            self.calls.append(("retrieved", (stored_type, service, update), result))
             return result
 
     monkeypatch.setattr(verifier_module, "SymbolicTransitionSystem", Recording)
@@ -83,16 +88,16 @@ def _without_memo(system, ts, kind, args):
     if kind == "project":
         tau, roots = args
         return [tau.project(roots).canonical_key()]
-    relation = system.task(ts.task_name).artifact_relation(args[1].relation)
+    relation = system.task(ts.task_name).artifact_relation(args[-1].relation)
     if kind == "stored":
-        pre_extended, update = args
+        pre_extended, _service, update = args
         renaming = dict(zip(update.variables, relation.attribute_names))
         universe = ExpressionUniverse(
             system.schema, {attr.name: attr.type for attr in relation.attributes}
         )
         renamed = pre_extended.project(update.variables).rename_roots(renaming, universe)
     else:
-        stored_type, update = args
+        stored_type, _service, update = args
         renaming = dict(zip(relation.attribute_names, update.variables))
         renamed = stored_type.rename_roots(renaming, ts.universe)
     return [renamed.canonical_key()]
@@ -118,17 +123,22 @@ def test_every_memoised_call_equals_a_fresh_computation(recorded):
     assert kinds_seen == {"evaluate", "project", "stored", "retrieved"}
 
 
+def _memo_key(kind, args):
+    if kind == "evaluate":
+        tau, condition = args
+        return tau, id(condition)
+    return args[:2]
+
+
 def test_memo_hits_and_table_sizes(recorded):
-    """The memo is used (repeated calls hit it) and keeps one entry per
+    """Every table is used (repeated calls hit it) and keeps one entry per
     distinct (type, argument) pair."""
     _key, system, ltl_property = _row(ROWS[0])
     Verifier(system, VerifierOptions(**CORPUS_BUDGET)).verify(ltl_property)
     ts = recorded[-1]
-    evaluate_calls = [args for kind, args, _ in ts.calls if kind == "evaluate"]
-    project_calls = [args for kind, args, _ in ts.calls if kind == "project"]
-    distinct_evaluate = {(tau, id(condition)) for tau, condition in evaluate_calls}
-    assert len(ts._evaluate_memo) == len(distinct_evaluate) < len(evaluate_calls)
-    assert len(ts._project_memo) == len(set(project_calls)) < len(project_calls)
+    for kind, table in zip(("evaluate", "project", "stored", "retrieved"), MEMO_TABLES):
+        keys = [_memo_key(kind, args) for call_kind, args, _ in ts.calls if call_kind == kind]
+        assert len(getattr(ts, table)) == len(set(keys)) < len(keys), kind
 
 
 def test_each_verify_starts_with_empty_tables(recorded):
